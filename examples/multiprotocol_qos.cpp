@@ -24,7 +24,6 @@ int main() {
   server::NestServerOptions opts;
   opts.capacity = 200'000'000;
   opts.tm.scheduler = "stride";
-  opts.tm.adaptive = false;
   opts.transfer_slots = 1;
   // Cap the appliance at 400 MB/s: loopback is far faster, so without a
   // cap the server is never the bottleneck and a work-conserving scheduler

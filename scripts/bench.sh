@@ -6,11 +6,13 @@
 #   scripts/bench.sh [build-dir] [out-dir] [bench ...]
 #
 # Defaults: build-dir=build, out-dir=., benches=fig3_multiprotocol
-# fig4_proportional fig5_adaptive abl_journal_commit abl_wire_speed
-# abl_replication abl_scale abl_hsm. Any
-# machine-readable
+# fig4_proportional fig5_adaptive fig6_lot_overhead abl_adapt_period
+# abl_staged abl_journal_commit abl_wire_speed abl_replication abl_scale
+# abl_hsm. Any machine-readable
 # JSONL rows a bench prints are lifted into the "rows" array; the full
-# stdout/stderr transcript is preserved verbatim under "raw".
+# stdout/stderr transcript is preserved verbatim under "raw". The six
+# deterministic sim transcripts (fig3-6, abl_adapt_period, abl_staged) are
+# also regression tests: CTest label `figures` (tests/check_figure.py).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -21,6 +23,7 @@ shift $(( $# > 2 ? 2 : $# )) || true
 BENCHES=("$@")
 if [ "${#BENCHES[@]}" -eq 0 ]; then
   BENCHES=(fig3_multiprotocol fig4_proportional fig5_adaptive
+           fig6_lot_overhead abl_adapt_period abl_staged
            abl_journal_commit abl_wire_speed abl_replication abl_scale
            abl_hsm)
 fi

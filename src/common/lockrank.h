@@ -54,7 +54,6 @@ enum class Rank : int {
   nfs_handles = 16,          // NFS file-handle id maps
   dispatcher_pub = 18,       // Dispatcher publisher thread control
   hsm_worker = 19,           // HsmManager background worker control
-  executor_queue = 20,       // EventLoop work queue
   executor_throttle = 22,    // TransferExecutor token bucket
   dispatcher_load = 24,      // Dispatcher rolling load trackers
   transfer_admission = 25,   // AdmissionController shed/outstanding state
@@ -70,7 +69,6 @@ enum class Rank : int {
   transfer_shard = 44,       // TransferCore per-class op shards
   transfer_registry = 46,    // TransferCore request registry
   transfer_cache = 48,       // TransferCore gray-box cache model
-  transfer_selector = 50,    // TransferCore adaptive model selector
   obs_load = 60,             // obs::RollingRate / obs::LoadAverage
   obs_rings = 62,            // TraceBuffer ring registry
   obs_live = 64,             // trace live-buffer id registry

@@ -22,10 +22,10 @@ Dispatcher::Dispatcher(Clock& clock, storage::StorageManager& storage,
       storage_(storage),
       tm_(tm),
       options_(std::move(options)),
-      gate_(tm, options_.transfer_slots),
+      core_(tm, options_.transfer_slots),
       admission_(clock, options_.admission),
       started_(clock.now()) {
-  gate_.core().set_admission(&admission_);
+  core_.set_admission(&admission_);
 }
 
 Dispatcher::~Dispatcher() { stop_publishing(); }

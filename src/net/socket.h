@@ -1,7 +1,8 @@
 // RAII socket primitives for the real (non-simulated) appliance.
-// Blocking I/O with optional timeouts; connection handlers run in their own
-// threads (the protocol layer), while bulk data movement is scheduled by
-// the transfer manager's concurrency models.
+// Blocking I/O with optional timeouts. The server is thread-per-connection:
+// each connection's handler (the protocol layer) runs on its own thread and
+// moves that connection's bulk data blocks inline, in the order the
+// transfer manager's scheduler grants them.
 //
 // Bulk data-path contracts (docs/net.md): send_vecs coalesces a header and
 // its body into one writev; send_file moves file bytes kernel-to-kernel

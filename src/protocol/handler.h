@@ -3,8 +3,8 @@
 // The protocol layer invokes the handler matching the connecting port
 // (paper Section 2.2); the handler authenticates the client, parses its
 // wire protocol into NestRequests, and routes them through the dispatcher.
-// Bulk data moves through the TransferExecutor so every protocol shares
-// the transfer manager's scheduling and concurrency machinery.
+// Bulk data moves through the TransferExecutor, on the connection's own
+// thread, so every protocol shares the transfer manager's scheduling.
 #pragma once
 
 #include <memory>

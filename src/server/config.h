@@ -4,7 +4,7 @@
 //
 // Recognized keys (see nestd.cpp header for the full commented example):
 //   root capacity name chirp_port http_port ftp_port gridftp_port nfs_port
-//   scheduler adaptive anonymous slots models
+//   scheduler anonymous slots
 //   journal journal_sync journal_commit journal_snapshot_every
 //   cluster_role cluster_peers replication_factor
 //   cluster_heartbeat cluster_heartbeat_timeout
@@ -40,8 +40,8 @@ struct NestdConfig {
   std::vector<TicketEntry> tickets;
 };
 
-// Parse and validate; rejects unknown concurrency-model names and bad
-// scheduler kinds rather than starting a misconfigured appliance.
+// Parse and validate; rejects bad scheduler kinds and out-of-range values
+// rather than starting a misconfigured appliance. Unknown keys are ignored.
 NEST_NODISCARD Result<NestdConfig> options_from_config(const Config& cfg);
 
 // Apply users + tickets to a started server.

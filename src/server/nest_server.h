@@ -3,9 +3,11 @@
 // One TCP listener per enabled protocol — the protocol layer invokes the
 // handler for the connecting port (paper Section 2.2) — plus a UDP
 // endpoint for NFS/ONC-RPC. Each accepted connection is served on its own
-// thread by its protocol handler; all handlers share one storage manager,
-// one dispatcher, one transfer manager (scheduling + adaptive concurrency)
-// and one GSI registry.
+// thread by its protocol handler, which also moves that connection's data
+// blocks (thread-per-connection is the only real-mode concurrency model;
+// the paper's events/processes/staged models and adaptive selection are
+// sim-only, see src/simnest). All handlers share one storage manager, one
+// dispatcher, one transfer manager (scheduling) and one GSI registry.
 #pragma once
 
 #include <atomic>
@@ -40,6 +42,8 @@ struct NestServerOptions {
   std::string root_dir;
   std::int64_t capacity = 1'000'000'000;
   storage::StorageOptions storage;
+  // The server reads only `scheduler`, the cache-model sizing and the
+  // latency-sample bound from this; the concurrency-model fields are sim-only.
   transfer::TransferManager::Options tm;
   int transfer_slots = 8;
   // Overload admission control (admission_target_ms / admission_max_queue

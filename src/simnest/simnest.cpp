@@ -182,11 +182,11 @@ Nanos SimNest::model_setup_cost(ConcurrencyModel model) const {
 void SimNest::report_completion(ConcurrencyModel model, Nanos latency,
                                 std::int64_t bytes) {
   if (tm_.options().adapt.metric == transfer::AdaptMetric::latency) {
-    core_.report_model(model, static_cast<double>(latency));
+    tm_.report_model(model, static_cast<double>(latency));
   } else {
     const double secs = to_seconds(latency);
-    core_.report_model(model,
-                       secs > 0 ? static_cast<double>(bytes) / secs : 0.0);
+    tm_.report_model(model,
+                     secs > 0 ? static_cast<double>(bytes) / secs : 0.0);
   }
 }
 
@@ -297,7 +297,7 @@ Co<bool> SimNest::client_get(ProtocolBehavior proto, std::string path,
 
   TransferRequest* req = core_.create_request(proto.name, Direction::read,
                                               path, file.size, user);
-  const ConcurrencyModel model = core_.pick_model();
+  const ConcurrencyModel model = tm_.pick_model();
   Nanos setup = model_setup_cost(model) + config_.dispatch_overhead;
 
   bool first = true;
@@ -341,7 +341,7 @@ Co<bool> SimNest::client_put(ProtocolBehavior proto, std::string path,
 
   TransferRequest* req = core_.create_request(proto.name, Direction::write,
                                               path, size, user);
-  const ConcurrencyModel model = core_.pick_model();
+  const ConcurrencyModel model = tm_.pick_model();
   Nanos setup = model_setup_cost(model) + config_.dispatch_overhead;
 
   bool first = true;

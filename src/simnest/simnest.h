@@ -1,16 +1,17 @@
 // SimNest: a NeST appliance bound to the discrete-event substrate.
 //
 // The policy brain is the *production* transfer::TransferCore — the same
-// lifecycle/admission core (and, under it, the same schedulers, adaptive
-// selector, and gray-box cache model) the real epoll server drives from
+// lifecycle/admission core (and, under it, the same schedulers and
+// gray-box cache model) the real thread-per-connection server drives from
 // concurrent connection threads, here driven single-threaded by the event
 // engine. This class supplies the byte-moving substrate: simulated
 // clients call client_get/client_put; blocks pass through a service gate
-// whose admission order is decided by the core's scheduler; the chosen
-// concurrency model determines which simulated OS costs each block pays
-// (the event model serializes disk reads and copies behind a single loop;
-// threads/processes run concurrently but pay creation and context switch
-// costs).
+// whose admission order is decided by the core's scheduler. The
+// concurrency models and the adaptive selector are sim-only: the
+// TransferManager's selector picks a model per request, and the model
+// determines which simulated OS costs each block pays (the event model
+// serializes disk reads and copies behind a single loop; threads/processes
+// run concurrently but pay creation and context switch costs).
 //
 // A JBOS native server (paper's comparison baseline) is the same machinery
 // with a fixed single protocol, FIFO scheduling, and no adaptation — built

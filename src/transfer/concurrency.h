@@ -7,6 +7,9 @@
 // administrator to choose, NeST "distributes requests among the
 // architectures equally at first, monitors their progress, and then slowly
 // biases requests toward the most effective choice."
+//
+// Simulator-only: SimNest charges each model's OS costs per block. The real
+// server is thread-per-connection and never consults the selector.
 #pragma once
 
 #include <array>

@@ -79,10 +79,6 @@ class TransferCore {
   // Non-work-conserving hold hint from the scheduler (0 = none).
   Nanos hold_until() const { return tm_.hold_until(); }
 
-  // --- concurrency-model selection (thread-safe) ---
-  ConcurrencyModel pick_model();
-  void report_model(ConcurrencyModel m, double metric_value);
-
   int free_slots() const { return free_.load(std::memory_order_relaxed); }
   TransferManager& tm() { return tm_; }
 
@@ -132,8 +128,6 @@ class TransferCore {
   Mutex reg_mu_{lockrank::Rank::transfer_registry, "transfer.registry"};
   // Gray-box cache model (create/charge).
   Mutex cache_mu_{lockrank::Rank::transfer_cache, "transfer.cache"};
-  // Adaptive selector.
-  Mutex sel_mu_{lockrank::Rank::transfer_selector, "transfer.selector"};
   std::vector<Op> drain_buf_ GUARDED_BY(sched_mu_);
 };
 

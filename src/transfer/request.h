@@ -1,5 +1,5 @@
 // Transfer request descriptor shared by every scheduler and both substrates
-// (real epoll server and discrete-event simulator).
+// (real thread-per-connection server and discrete-event simulator).
 #pragma once
 
 #include <cstdint>

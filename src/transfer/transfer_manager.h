@@ -1,12 +1,14 @@
 // TransferManager: the policy heart of NeST's data movement (paper
-// Section 4). Substrate-agnostic: the real epoll server and the
-// discrete-event simulator both drive this same object, so the scheduling
-// and adaptation behaviour that the benchmarks measure is exactly the
+// Section 4). Substrate-agnostic: the real thread-per-connection server and
+// the discrete-event simulator both drive this same object, so the
+// scheduling behaviour that the benchmarks measure is exactly the
 // behaviour the appliance ships.
 //
 // Responsibilities here: request registry, scheduling policy (which
 // pending quantum is serviced next), concurrency-model selection, and
-// accounting. Actually moving bytes is the substrate's job.
+// accounting. Actually moving bytes is the substrate's job. Model
+// selection (pick_model/report_model and the adaptive selector) is used by
+// the simulator only; the real server always runs thread-per-connection.
 //
 // Thread-safety: this object is a *single-threaded* policy brain. The
 // aggregate counters (total_bytes/completed/in_flight) are atomics so
@@ -38,6 +40,7 @@ class TransferManager {
   struct Options {
     // fifo | stride | stride-nwc | stride-user | cache-aware
     std::string scheduler = "fifo";
+    // Concurrency-model selection (sim only; the real server ignores it).
     bool adaptive = true;            // adapt the concurrency model?
     ConcurrencyModel fixed_model = ConcurrencyModel::threads;  // if !adaptive
     AdaptiveSelector::Options adapt;
@@ -79,7 +82,7 @@ class TransferManager {
     meter_.add(cls, bytes);
   }
 
-  // --- concurrency model selection ---
+  // --- concurrency model selection (single-threaded; sim only) ---
   ConcurrencyModel pick_model();
   void report_model(ConcurrencyModel m, double metric_value);
   AdaptiveSelector& selector() { return selector_; }

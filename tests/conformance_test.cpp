@@ -107,7 +107,6 @@ class ConformanceTest : public ::testing::Test {
   void SetUp() override {
     server::NestServerOptions o;
     o.capacity = 50'000'000;
-    o.tm.adaptive = false;
     auto s = server::NestServer::start(std::move(o));
     ASSERT_TRUE(s.ok()) << s.error().to_string();
     server_ = std::move(*s);
@@ -440,7 +439,6 @@ class ConformanceSmallServerTest : public ::testing::Test {
   void SetUp() override {
     server::NestServerOptions o;
     o.capacity = 200'000;  // tiny appliance: space exhausts quickly
-    o.tm.adaptive = false;
     auto s = server::NestServer::start(std::move(o));
     ASSERT_TRUE(s.ok()) << s.error().to_string();
     server_ = std::move(*s);
@@ -518,7 +516,6 @@ class ConformanceColdTierTest : public ::testing::Test {
   void SetUp() override {
     server::NestServerOptions o;
     o.capacity = 50'000'000;
-    o.tm.adaptive = false;
     o.cold_backend = "mem";
     // No background worker: staging stays pending until the test recalls
     // explicitly, so the cold window is deterministic on every wire.

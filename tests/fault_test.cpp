@@ -393,8 +393,6 @@ class FaultServerTest : public FaultTest {
     FaultTest::SetUp();
     server::NestServerOptions opts;
     opts.capacity = 10'000'000;
-    opts.tm.adaptive = false;
-    opts.tm.fixed_model = transfer::ConcurrencyModel::threads;
     opts.http_port = -1;
     opts.ftp_port = -1;
     opts.gridftp_port = -1;
@@ -538,6 +536,11 @@ TEST_F(FaultServerTest, FdExhaustionBacksOffInsteadOfSpinningOrDying) {
   auto& fp = fault::registry().point("net.accept_err");
   ASSERT_TRUE(fault::registry().arm("net.accept_err", "return(EMFILE)").ok());
   const auto before = fp.trips();
+  // The acceptor is already parked inside a blocking accept, past the
+  // point's check. One plain connection releases it, so its next accept
+  // call evaluates the armed point.
+  auto nudge = net::TcpStream::connect("127.0.0.1", server_->chirp_port());
+  ASSERT_TRUE(nudge.ok());
   // Let the acceptor retry under the armed point. With exponential backoff
   // (1→200 ms) ~400 ms admits only a handful of attempts; a busy-spin
   // would rack up tens of thousands, and the pre-fix acceptor would have

@@ -161,7 +161,6 @@ class ServerFuzz : public ::testing::Test {
   void SetUp() override {
     server::NestServerOptions o;
     o.capacity = 10'000'000;
-    o.tm.adaptive = false;
     o.idle_timeout_ms = 2'000;
     auto s = server::NestServer::start(std::move(o));
     ASSERT_TRUE(s.ok()) << s.error().to_string();

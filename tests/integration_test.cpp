@@ -25,8 +25,6 @@ class IntegrationTest : public ::testing::Test {
   void SetUp() override {
     NestServerOptions opts;
     opts.capacity = 100'000'000;
-    opts.tm.adaptive = false;
-    opts.tm.fixed_model = transfer::ConcurrencyModel::threads;
     auto server = NestServer::start(opts);
     ASSERT_TRUE(server.ok()) << server.error().to_string();
     server_ = std::move(server.value());
@@ -122,7 +120,6 @@ TEST_F(IntegrationTest, ChirpLotCapacityEnforced) {
   NestServerOptions opts;
   opts.capacity = 10'000'000;
   opts.storage.allow_lotless_writes = false;
-  opts.tm.adaptive = false;
   auto strict = NestServer::start(opts);
   ASSERT_TRUE(strict.ok());
   (*strict)->gsi().add_user("alice", "s");
@@ -328,7 +325,6 @@ TEST_F(IntegrationTest, GridFtpBadCredentialRejected) {
 TEST_F(IntegrationTest, GridFtpThirdPartyTransfer) {
   NestServerOptions opts2;
   opts2.capacity = 100'000'000;
-  opts2.tm.adaptive = false;
   auto remote = NestServer::start(opts2);
   ASSERT_TRUE(remote.ok());
   (*remote)->gsi().add_user("alice", "alice-secret");
@@ -373,7 +369,6 @@ TEST_F(IntegrationTest, GridFtpThirdPartyTransfer) {
 TEST_F(IntegrationTest, ChirpThirdPartyPush) {
   NestServerOptions remote_opts;
   remote_opts.capacity = 100'000'000;
-  remote_opts.tm.adaptive = false;
   auto remote = NestServer::start(remote_opts);
   ASSERT_TRUE(remote.ok());
   // The local appliance's identity must be registered at the remote.
@@ -382,7 +377,6 @@ TEST_F(IntegrationTest, ChirpThirdPartyPush) {
 
   NestServerOptions local_opts;
   local_opts.capacity = 100'000'000;
-  local_opts.tm.adaptive = false;
   local_opts.own_subject = "nest@local";
   local_opts.own_secret = "appliance-secret";
   auto local = NestServer::start(local_opts);
@@ -588,36 +582,6 @@ TEST_F(IntegrationTest, TransferManagerSeesAllProtocols) {
   EXPECT_GT(per_class.at("http"), 0);
   EXPECT_GT(per_class.at("ftp"), 0);
 }
-
-// ---------- Concurrency models on the real server ----------
-
-class ModelTest
-    : public ::testing::TestWithParam<transfer::ConcurrencyModel> {};
-
-TEST_P(ModelTest, RoundTripUnderEachModel) {
-  NestServerOptions opts;
-  opts.tm.adaptive = false;
-  opts.tm.fixed_model = GetParam();
-  auto server = NestServer::start(opts);
-  ASSERT_TRUE(server.ok());
-  (*server)->gsi().add_user("alice", "s");
-  auto c = ChirpClient::connect("127.0.0.1", (*server)->chirp_port(),
-                                "alice", "s");
-  ASSERT_TRUE(c.ok());
-  std::string data(500'000, 'q');
-  ASSERT_TRUE(c->put("/model.bin", data).ok());
-  auto got = c->get("/model.bin");
-  ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(*got == data);
-  (*server)->stop();
-}
-
-INSTANTIATE_TEST_SUITE_P(AllModels, ModelTest,
-                         ::testing::Values(
-                             transfer::ConcurrencyModel::threads,
-                             transfer::ConcurrencyModel::events,
-                             transfer::ConcurrencyModel::processes,
-                             transfer::ConcurrencyModel::staged));
 
 TEST_F(IntegrationTest, ConcurrentClientsInterleave) {
   auto c = alice();

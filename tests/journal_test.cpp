@@ -608,7 +608,6 @@ TEST_F(JournalTest, RebaseKeepsRemainingDuration) {
 TEST_F(JournalTest, ServerRestartPreservesLotsAndAcls) {
   server::NestServerOptions opts;
   opts.capacity = 1'000'000;
-  opts.tm.adaptive = false;
   opts.journal_dir = dir_;
   std::uint64_t lot_id = 0;
   {
@@ -661,7 +660,6 @@ TEST_F(JournalTest, ServerRestartPreservesLotsAndAcls) {
 
 TEST_F(JournalTest, ServerWithoutJournalRejectsJournalStat) {
   server::NestServerOptions opts;
-  opts.tm.adaptive = false;
   auto server = server::NestServer::start(opts);
   ASSERT_TRUE(server.ok());
   (*server)->gsi().add_user("alice", "s");

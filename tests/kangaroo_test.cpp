@@ -19,7 +19,6 @@ using client::KangarooMover;
 
 std::unique_ptr<server::NestServer> start_server(int chirp_port = 0) {
   server::NestServerOptions opts;
-  opts.tm.adaptive = false;
   opts.chirp_port = chirp_port;
   opts.http_port = -1;
   opts.ftp_port = -1;
@@ -163,22 +162,13 @@ TEST(NestdConfig, RejectsTicketsWithoutStride) {
   EXPECT_FALSE(server::options_from_config(*cfg).ok());
 }
 
-TEST(NestdConfig, ParsesModelList) {
-  auto cfg = Config::parse("models = threads, staged\nadaptive = true\n");
-  auto parsed = server::options_from_config(*cfg);
-  ASSERT_TRUE(parsed.ok());
-  ASSERT_EQ(parsed->options.tm.adapt.enabled.size(), 2u);
-  EXPECT_EQ(parsed->options.tm.adapt.enabled[1],
-            transfer::ConcurrencyModel::staged);
-  auto bad = Config::parse("models = fibers\n");
-  EXPECT_FALSE(server::options_from_config(*bad).ok());
-}
-
 TEST(NestdConfig, AppliedConfigReachesServer) {
+  // `adaptive` and `models` are retired keys: like any unknown key they
+  // are ignored, so an old config still starts the server.
   auto cfg = Config::parse(
       "chirp_port = 0\nhttp_port = -1\nftp_port = -1\ngridftp_port = -1\n"
       "nfs_port = -1\nscheduler = stride\ntickets.chirp = 3\n"
-      "user.carol = pw\nadaptive = false\n");
+      "user.carol = pw\nadaptive = false\nmodels = fibers\n");
   auto parsed = server::options_from_config(*cfg);
   ASSERT_TRUE(parsed.ok());
   auto server = server::NestServer::start(parsed->options);

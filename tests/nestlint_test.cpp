@@ -131,6 +131,8 @@ TEST(NestLintRules, SyscallConfinement) {
       {"--root", fixture("syscalls_fail"), "--rule", "syscalls"});
   EXPECT_NE(fail.output.find("outside src/net/"), std::string::npos)
       << "the socket family has the tighter net-only zone:\n" << fail.output;
+  EXPECT_NE(fail.output.find("raw ::fork() in src/"), std::string::npos)
+      << "process creation is forbidden everywhere:\n" << fail.output;
 }
 
 TEST(NestLintRules, LockrankTableDrift) {

@@ -219,11 +219,7 @@ class DispatcherTest : public ::testing::Test {
   DispatcherTest()
       : storage_(clock_, std::make_unique<storage::MemFs>(clock_, 1'000'000),
                  storage::StorageOptions{.lot_capacity = 1'000'000}),
-        tm_(clock_, [] {
-              transfer::TransferManager::Options o;
-              o.adaptive = false;
-              return o;
-            }()),
+        tm_(clock_, transfer::TransferManager::Options{}),
         dispatcher_(clock_, storage_, tm_) {}
 
   protocol::NestRequest req(protocol::NestOp op, const std::string& path) {
@@ -343,35 +339,6 @@ TEST_F(DispatcherTest, PublishesIntoCollector) {
   auto ad = collector.lookup("nest");
   ASSERT_TRUE(ad.has_value());
   EXPECT_EQ(ad->eval_string("Type").value(), "Storage");
-}
-
-// ---------- BlockGate ----------
-
-TEST(BlockGate, GrantsInSchedulerOrder) {
-  ManualClock clock;
-  transfer::TransferManager tm(
-      clock, [] {
-              transfer::TransferManager::Options o;
-              o.adaptive = false;
-              return o;
-            }());
-  dispatcher::BlockGate gate(tm, /*slots=*/1);
-  auto* r1 = gate.create_request("chirp", transfer::Direction::read, "/a", 10);
-  gate.acquire(r1);  // takes the only slot immediately
-  std::atomic<bool> second_granted{false};
-  auto* r2 = gate.create_request("chirp", transfer::Direction::read, "/b", 10);
-  std::thread waiter([&] {
-    gate.acquire(r2);
-    second_granted = true;
-    gate.release();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(second_granted.load());  // blocked: slot held
-  gate.release();
-  waiter.join();
-  EXPECT_TRUE(second_granted.load());
-  gate.complete(r1);
-  gate.complete(r2);
 }
 
 // ---------- Discovery ----------

@@ -23,7 +23,6 @@ class RobustnessTest : public ::testing::Test {
  protected:
   void SetUp() override {
     NestServerOptions opts;
-    opts.tm.adaptive = false;
     opts.idle_timeout_ms = 2000;  // keep abandoned-connection tests fast
     auto server = NestServer::start(opts);
     ASSERT_TRUE(server.ok());
@@ -206,7 +205,6 @@ TEST(PerUserShare, FactoryMakesUserStride) {
 
 TEST(PerUserShare, RealServerTicketsCarryUser) {
   server::NestServerOptions opts;
-  opts.tm.adaptive = false;
   opts.tm.scheduler = "stride-user";
   auto server = NestServer::start(opts);
   ASSERT_TRUE(server.ok());

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -145,6 +146,33 @@ TEST(TransferCoreStress, MonitoringReadsDuringTraffic) {
   monitor.join();
   EXPECT_EQ(tm.total_bytes(), 4 * 200 * 1000);
   EXPECT_EQ(tm.in_flight(), 0u);
+}
+
+// Blocking interface (what connection threads use): with the only slot
+// held, a second acquire parks until the holder releases.
+TEST(TransferCoreBlocking, SecondAcquireWaitsForRelease) {
+  ManualClock clock;
+  TransferManager tm(clock, fifo_options());
+  TransferCore core(tm, /*slots=*/1);
+  TransferRequest* r1 =
+      core.create_request("chirp", Direction::read, "/a", 10);
+  core.acquire(r1);  // takes the only slot immediately
+  std::atomic<bool> second_granted{false};
+  TransferRequest* r2 =
+      core.create_request("chirp", Direction::read, "/b", 10);
+  std::thread waiter([&] {
+    core.acquire(r2);
+    second_granted = true;
+    core.release();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(second_granted.load());  // blocked: slot held
+  core.release();
+  waiter.join();
+  EXPECT_TRUE(second_granted.load());
+  core.complete(r1);
+  core.complete(r2);
+  EXPECT_EQ(core.free_slots(), 1);
 }
 
 // Substrate-driven interface (what the sim engine uses): grants come back

@@ -104,7 +104,9 @@ void rule_layering(const Context& ctx, std::vector<Finding>& out) {
 // goes through the VirtualFs / net::TcpStream abstractions so fallback
 // semantics, failpoints, and zero-copy paths stay in one place, and so a
 // protocol thread can never sneak an unbounded disk wait past the
-// scheduler.
+// scheduler. Process creation is forbidden everywhere in src/: the server
+// is multi-threaded, and a forked child inherits every lock another
+// thread held at fork time, still locked.
 const std::set<std::string>& socket_syscalls() {
   static const std::set<std::string> k = {
       "send", "recv", "sendto", "recvfrom", "sendfile",
@@ -119,6 +121,13 @@ const std::set<std::string>& file_syscalls() {
       "fstat", "lstat", "statvfs", "fstatvfs", "lseek", "ftruncate",
       "truncate", "unlink", "unlinkat", "rename", "renameat", "mkdir",
       "mkdirat", "rmdir", "opendir", "readdir", "closedir"};
+  return k;
+}
+
+const std::set<std::string>& process_syscalls() {
+  static const std::set<std::string> k = {
+      "fork",   "vfork",   "waitpid", "wait4",       "execv",
+      "execve", "execvp", "execvpe", "posix_spawn", "posix_spawnp"};
   return k;
 }
 
@@ -149,34 +158,40 @@ bool is_global_call(const std::vector<Token>& code, std::size_t i) {
 
 void rule_syscalls(const Context& ctx, std::vector<Finding>& out) {
   for (const auto& f : ctx.files) {
-    if (f.subdir.empty() || sandbox().count(f.subdir) != 0) continue;
-    const bool net_ok = f.subdir == "net";
-    const bool file_ok = f.subdir == "storage" || f.subdir == "journal" ||
-                         f.subdir == "net" || f.subdir == "hsm";
-    if (net_ok && file_ok) continue;
+    // Production code may not include the sim sandbox, so I/O there can
+    // never stall a protocol thread. The process rule applies to every
+    // src/ file, the sandbox included.
+    const bool exempt = f.subdir.empty() || sandbox().count(f.subdir) != 0;
+    const bool net_ok = exempt || f.subdir == "net";
+    const bool file_ok = exempt || f.subdir == "storage" ||
+                         f.subdir == "journal" || f.subdir == "net" ||
+                         f.subdir == "hsm";
     auto code = code_only(f.toks);
     for (std::size_t i = 0; i < code.size(); ++i) {
       if (!(code[i].kind == Tok::punct && code[i].text == "::")) continue;
       if (!is_global_call(code, i)) continue;
       const std::string& name = code[i + 1].text;
-      if (!net_ok && socket_syscalls().count(name) != 0) {
-        if (ctx.line_allowed(f.rel_path, "syscalls", code[i + 1].line)) {
-          continue;
-        }
-        out.push_back({f.rel_path, code[i + 1].line, "syscalls",
-                       "raw ::" + name +
-                           "() outside src/net/ — use net::TcpStream / "
-                           "net::UdpSocket (src/net/socket.h)"});
+      std::string message;
+      if (process_syscalls().count(name) != 0) {
+        message = "raw ::" + name +
+                  "() in src/ — the server is multi-threaded; never fork, "
+                  "exec, or wait for a child process";
+      } else if (!net_ok && socket_syscalls().count(name) != 0) {
+        message = "raw ::" + name +
+                  "() outside src/net/ — use net::TcpStream / "
+                  "net::UdpSocket (src/net/socket.h)";
       } else if (!file_ok && file_syscalls().count(name) != 0) {
-        if (ctx.line_allowed(f.rel_path, "syscalls", code[i + 1].line)) {
-          continue;
-        }
-        out.push_back({f.rel_path, code[i + 1].line, "syscalls",
-                       "raw ::" + name +
-                           "() outside src/{storage,journal,net,hsm}/ — "
-                           "blocking I/O goes through VirtualFs "
-                           "(src/storage/vfs.h) or the net layer"});
+        message = "raw ::" + name +
+                  "() outside src/{storage,journal,net,hsm}/ — "
+                  "blocking I/O goes through VirtualFs "
+                  "(src/storage/vfs.h) or the net layer";
+      } else {
+        continue;
       }
+      if (ctx.line_allowed(f.rel_path, "syscalls", code[i + 1].line)) {
+        continue;
+      }
+      out.push_back({f.rel_path, code[i + 1].line, "syscalls", message});
     }
   }
 }
@@ -695,7 +710,9 @@ const std::vector<Rule>& all_rules() {
   static const std::vector<Rule> kRules = {
       {"layering", "include DAG between src/ subdirs (no back-edges)",
        rule_layering},
-      {"syscalls", "blocking syscalls confined to storage/journal/net/hsm",
+      {"syscalls",
+       "blocking syscalls confined to storage/journal/net/hsm; no "
+       "process creation",
        rule_syscalls},
       {"lockrank", "lockrank.h ranks match the docs rank table",
        rule_lockrank},
