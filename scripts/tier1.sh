@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate: lint, then full build + full test suite (lock-rank deadlock
-# detector armed), then the concurrency-labelled stress tests again under
-# ThreadSanitizer, the recovery-labelled journal/crash tests under
-# Address+UB sanitizer, and the whole suite once more under UBSan alone
-# (separate build trees so instrumented objects never mix). Each leg is
-# timed; the summary at the end shows where the wall-clock went.
+# detector armed), then the concurrency-labelled stress tests and the
+# recovery-labelled journal tests again under ThreadSanitizer, the
+# recovery-labelled journal/crash tests under Address+UB sanitizer, and the
+# whole suite once more under UBSan alone (separate build trees so
+# instrumented objects never mix). Each leg is timed; the summary at the
+# end shows where the wall-clock went.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,12 +50,12 @@ cmake --build --preset default -j "${JOBS}"
 leg "full test suite (lock-rank detector armed)"
 NEST_LOCKRANK=1 ctest --preset default
 
-leg "ThreadSanitizer pass over concurrency/obs/conformance/chaos/cluster/scale/hsm tests"
+leg "ThreadSanitizer pass over concurrency/recovery/obs/conformance/chaos/cluster/scale/hsm tests"
 cmake --preset tsan
 # Only the labelled binaries need instrumenting; keeps the tsan tree cheap.
 cmake --build --preset tsan -j "${JOBS}" \
-  --target transfer_core_test obs_test conformance_test chaos_test cluster_test \
-          scale_test loadgen_test hsm_test
+  --target transfer_core_test journal_test obs_test conformance_test \
+          chaos_test cluster_test scale_test loadgen_test hsm_test
 TSAN_OPTIONS="halt_on_error=1" ctest --preset tsan
 
 leg "AddressSanitizer pass over recovery/obs/conformance/fault/chaos/cluster/scale/hsm tests"

@@ -84,15 +84,24 @@ void MiniServer::accept_loop() {
     if (!stream.ok()) return;
     // Timeout setup is advisory: a stream without it still works.
     (void)stream->set_read_timeout(30'000);
+    std::vector<std::thread> ended;
+    {
+      MutexLock lock(conn_mu_);
+      for (const std::thread::id id : finished_)
+        ended.push_back(std::move(connections_.extract(id).mapped()));
+      finished_.clear();
+    }
+    for (std::thread& t : ended) t.join();
     MutexLock lock(conn_mu_);
     const int fd = stream->fd();
     conn_fds_.insert(fd);
-    connections_.emplace_back([this, fd,
-                               s = std::move(stream.value())]() mutable {
+    std::thread t([this, fd, s = std::move(stream.value())]() mutable {
       serve(s);
       MutexLock inner(conn_mu_);
       conn_fds_.erase(fd);
+      finished_.push_back(std::this_thread::get_id());
     });
+    connections_.emplace(t.get_id(), std::move(t));
   }
 }
 
@@ -100,15 +109,13 @@ void MiniServer::stop() {
   if (stopping_.exchange(true)) return;
   if (listener_) listener_->close();
   if (acceptor_.joinable()) acceptor_.join();
-  std::vector<std::thread> conns;
+  std::unordered_map<std::thread::id, std::thread> conns;
   {
     MutexLock lock(conn_mu_);
     conns.swap(connections_);
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : conns) t.join();
 }
 
 void MiniHttpServer::serve(net::TcpStream& stream) {

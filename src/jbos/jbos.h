@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -40,7 +41,10 @@ class MiniServer {
   std::unique_ptr<net::TcpListener> listener_;
   std::thread acceptor_;
   Mutex conn_mu_{lockrank::Rank::jbos_conn, "jbos.conn"};
-  std::vector<std::thread> connections_ GUARDED_BY(conn_mu_);
+  std::unordered_map<std::thread::id, std::thread> connections_
+      GUARDED_BY(conn_mu_);
+  // Threads done serving, joined by the acceptor before its next spawn.
+  std::vector<std::thread::id> finished_ GUARDED_BY(conn_mu_);
   std::set<int> conn_fds_ GUARDED_BY(conn_mu_);
   std::atomic<bool> stopping_{false};
   uint16_t port_ = 0;

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/log.h"
@@ -111,24 +110,56 @@ std::string encode_frame(Lsn lsn, std::string_view payload) {
   return out;
 }
 
+// One leader's batch, run with the journal lock released, so it touches
+// only its arguments: append `frames` to segment `fd` (`size` tracks its
+// length) and fsync them if `fsync_after`. A failed write or fsync, or an
+// injected crash (which also leaves half a frame of tear bait), cuts the
+// segment back to its last fsynced size, frames of this very batch
+// included: their ops are reported as failed, so their bytes must not
+// survive into recovery.
+Status write_batch(int fd, const std::string& path,
+                   const std::vector<std::string>& frames, bool fsync_after,
+                   std::int64_t durable_size, std::int64_t& size) {
+  const auto cut_back = [&](Status s, std::string_view tear = {}) {
+    const std::int64_t keep =
+        durable_size > 0 ? durable_size
+                         : static_cast<std::int64_t>(kSegmentHeaderBytes);
+    // Already failing: shrinking back to the durable prefix is damage control.
+    (void)::ftruncate(fd, static_cast<off_t>(keep));
+    // Seek result is irrelevant: the journal is dead after this batch.
+    (void)::lseek(fd, 0, SEEK_END);
+    // Tear bait (crash only); a short write tears just as well.
+    (void)write_all_fd(fd, tear.data(), tear.size());
+    size = keep + static_cast<std::int64_t>(tear.size());
+    return s;
+  };
+  for (const std::string& frame : frames) {
+    NEST_FAILPOINT("journal.crash",
+                   return cut_back(Status{Errc::io_error,
+                                          "journal crashed (injected)"},
+                                   std::string_view(frame).substr(
+                                       0, frame.size() / 2)));
+    Status ws;
+    NEST_FAILPOINT("journal.write", ws = Status{err});
+    if (ws.ok()) ws = write_all_fd(fd, frame.data(), frame.size());
+    if (!ws.ok()) return cut_back(ws);
+    size += static_cast<std::int64_t>(frame.size());
+  }
+  if (!fsync_after) return {};
+  Status fs;
+  NEST_FAILPOINT("journal.fsync", fs = Status{err});
+  if (fs.ok() && ::fsync(fd) != 0)
+    fs = Status{Errc::io_error, "fsync " + path};
+  if (!fs.ok()) return cut_back(fs);
+  return {};
+}
+
 }  // namespace
 
 Result<SyncMode> sync_mode_by_name(const std::string& name) {
   if (name == "none") return SyncMode::none;
-  if (name == "group") return SyncMode::group;
-  if (name == "always") return SyncMode::always;
+  if (name == "always" || name == "group") return SyncMode::always;
   return Error{Errc::invalid_argument, "unknown journal sync '" + name + "'"};
-}
-
-void JournalOptions::apply_env() {
-  // Compat shim: JOURNAL_CRASH_AFTER predates the failpoint registry and
-  // stays supported because it arms a *per-instance* counter — test loops
-  // that open many journals in one process rely on that isolation. New
-  // code should arm `journal.crash=after(n)return()` instead (same
-  // semantics, process-wide; see docs/fault-injection.md).
-  if (const char* v = std::getenv("JOURNAL_CRASH_AFTER")) {
-    crash_after_frames = std::strtol(v, nullptr, 10);
-  }
 }
 
 Journal::Journal(Clock& clock, JournalOptions options)
@@ -148,23 +179,13 @@ Result<std::unique_ptr<Journal>> Journal::open(Clock& clock,
     MutexLock lock(j->mu_);
     if (auto s = j->recover(); !s.ok()) return Error{s.error()};
   }
-  if (j->options_.sync == SyncMode::group) {
-    j->committer_ = std::thread([p = j.get()] { p->committer_main(); });
-  }
   return j;
 }
 
 Journal::~Journal() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-    // Shutdown flush is best-effort; on failure flush_locked goes dead.
-    if (!dead_ && !pending_.empty()) (void)flush_locked();
-  }
-  committer_cv_.notify_all();
-  durable_cv_.notify_all();
-  if (committer_.joinable()) committer_.join();
   MutexLock lock(mu_);
+  // Shutdown flush is best-effort; a failed flush marks the journal dead.
+  (void)sync_locked(lock, next_lsn_ - 1);
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -354,121 +375,67 @@ Result<Lsn> Journal::append(std::string payload) {
     return err;
   });
   const Lsn lsn = next_lsn_++;
-  if (pending_.empty()) pending_first_lsn_ = lsn;
   pending_.push_back(encode_frame(lsn, payload));
   ++appends_;
   ++records_since_snapshot_;
   return lsn;
 }
 
-Status Journal::flush_locked() {
-  if (dead_) return Status{Errc::io_error, "journal is dead"};
-  if (pending_.empty()) return {};
-  // Roll when the live segment is over the threshold; the new segment
-  // starts at the first pending LSN.
-  if (seg_size_ >= options_.segment_bytes) {
-    if (auto s = open_segment_locked(pending_first_lsn_); !s.ok()) {
-      // A WAL that cannot open its next segment is broken: marking it dead
-      // keeps the pending frames from becoming durable on a later retry
-      // after their ops were already reported as failed.
+Status Journal::sync_locked(MutexLock& lock, Lsn upto) {
+  upto = std::min(upto, next_lsn_ - 1);
+  while (durable_lsn_ < upto) {
+    if (dead_) return Status{Errc::io_error, "journal is dead"};
+    if (flushing_) {
+      durable_cv_.wait(lock);
+      continue;
+    }
+    // Lead. Roll when the live segment is over the threshold; the new
+    // segment starts at the first pending LSN.
+    if (seg_size_ >= options_.segment_bytes) {
+      if (auto s = open_segment_locked(durable_lsn_ + 1); !s.ok()) {
+        // A WAL that cannot open its next segment is broken: marking it
+        // dead keeps the pending frames from becoming durable on a later
+        // retry after their ops were already reported as failed.
+        dead_ = true;
+        durable_cv_.notify_all();
+        return s;
+      }
+    }
+    std::vector<std::string> batch;
+    batch.swap(pending_);
+    const Lsn batch_last = next_lsn_ - 1;
+    const int fd = fd_;
+    const std::string path = seg_path_;
+    const std::int64_t durable_size = seg_durable_size_;
+    std::int64_t size = seg_size_;
+    flushing_ = true;
+    // The I/O below touches only the locals above. mu_ is released on the
+    // capability itself (not through `lock`) so the analysis sees exactly
+    // which members stay off limits until it is reacquired.
+    mu_.unlock();
+    const Status s = write_batch(fd, path, batch,
+                                 options_.sync != SyncMode::none,
+                                 durable_size, size);
+    mu_.lock();
+    flushing_ = false;
+    seg_size_ = size;
+    // Followers recheck once this thread releases mu_.
+    durable_cv_.notify_all();
+    if (!s.ok()) {
       dead_ = true;
-      durable_cv_.notify_all();
       return s;
     }
+    if (options_.sync != SyncMode::none) ++fsyncs_;
+    seg_durable_size_ = size;
+    durable_lsn_ = batch_last;
   }
-  Lsn written_upto = durable_lsn_;
-  // A failed write or fsync leaves durability unknown for everything
-  // since the last successful fsync: those ops were (or will be)
-  // reported as failed, so the bytes must not survive into recovery.
-  // Discard them before going dead, exactly like the crash path.
-  const auto fail_discarding = [&](Status s) {
-    const std::int64_t keep =
-        seg_durable_size_ > 0
-            ? seg_durable_size_
-            : static_cast<std::int64_t>(kSegmentHeaderBytes);
-    // Already failing: shrinking back to the durable prefix is damage control.
-    (void)::ftruncate(fd_, static_cast<off_t>(keep));
-    // Seek result is irrelevant once dead_ is set; nothing writes after.
-    (void)::lseek(fd_, 0, SEEK_END);
-    seg_size_ = keep;
-    dead_ = true;
-    durable_cv_.notify_all();
-    return s;
-  };
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const std::string& frame = pending_[i];
-    bool tear = options_.crash_after_frames == 0;
-    NEST_FAILPOINT("journal.crash", tear = true);
-    if (tear) {
-      // Injected crash: discard everything past the last fsync (emulating
-      // page-cache loss — frames written earlier in this very flush die
-      // too) and leave a torn half-frame behind for recovery to truncate.
-      const std::int64_t keep =
-          seg_durable_size_ > 0
-              ? seg_durable_size_
-              : static_cast<std::int64_t>(kSegmentHeaderBytes);
-      // Emulated page-cache loss: errors cannot make the crash less crashed.
-      (void)::ftruncate(fd_, static_cast<off_t>(keep));
-      // Seek result is irrelevant; the journal is dead after this block.
-      (void)::lseek(fd_, 0, SEEK_END);
-      // The half-frame is deliberate tear bait; a short write tears just as
-      // well.
-      (void)write_all_fd(fd_, frame.data(), frame.size() / 2);
-      seg_size_ = keep + static_cast<std::int64_t>(frame.size() / 2);
-      dead_ = true;
-      durable_cv_.notify_all();
-      return Status{Errc::io_error, "journal crashed (injected)"};
-    }
-    if (options_.crash_after_frames > 0) --options_.crash_after_frames;
-    Status ws;
-    NEST_FAILPOINT("journal.write", ws = Status{err});
-    if (ws.ok()) ws = write_all_fd(fd_, frame.data(), frame.size());
-    if (!ws.ok()) return fail_discarding(ws);
-    seg_size_ += static_cast<std::int64_t>(frame.size());
-    ++written_upto;
-  }
-  if (options_.sync != SyncMode::none) {
-    Status fs;
-    NEST_FAILPOINT("journal.fsync", fs = Status{err});
-    if (fs.ok() && ::fsync(fd_) != 0)
-      fs = Status{Errc::io_error, "fsync " + seg_path_};
-    if (!fs.ok()) return fail_discarding(fs);
-    ++fsyncs_;
-  }
-  seg_durable_size_ = seg_size_;
-  durable_lsn_ = written_upto;
-  pending_.clear();
-  durable_cv_.notify_all();
   return {};
 }
 
 Status Journal::commit(Lsn upto) {
-  if (upto == 0) return {};
+  MutexLock lock(mu_);
   ++commits_;
-  switch (options_.sync) {
-    case SyncMode::none: {
-      // No durability barrier; still push bytes to the OS so a clean
-      // shutdown leaves a replayable log.
-      MutexLock lock(mu_);
-      if (durable_lsn_ >= upto) return {};
-      return flush_locked();
-    }
-    case SyncMode::always: {
-      MutexLock lock(mu_);
-      if (durable_lsn_ >= upto) return {};
-      return flush_locked();
-    }
-    case SyncMode::group: {
-      // Timer-driven batching: the committer fsyncs once per interval,
-      // amortizing the flush across every record appended meanwhile.
-      MutexLock lock(mu_);
-      durable_cv_.wait(lock,
-                       [&] { return durable_lsn_ >= upto || dead_ || stop_; });
-      if (durable_lsn_ >= upto) return {};
-      return Status{Errc::io_error, "journal died before commit"};
-    }
-  }
-  return Status{Errc::internal, "bad sync mode"};
+  return sync_locked(lock, upto);
 }
 
 Result<Lsn> Journal::append_commit(std::string payload) {
@@ -476,18 +443,6 @@ Result<Lsn> Journal::append_commit(std::string payload) {
   if (!lsn.ok()) return lsn;
   if (auto s = commit(*lsn); !s.ok()) return Error{s.error()};
   return lsn;
-}
-
-void Journal::committer_main() {
-  MutexLock lock(mu_);
-  while (!stop_) {
-    committer_cv_.wait_for(
-        lock, std::chrono::nanoseconds(options_.commit_interval),
-        [&] { return stop_; });
-    if (stop_) break;
-    // Flush failure marks the journal dead; the loop then idles until stop.
-    if (!dead_ && !pending_.empty()) (void)flush_locked();
-  }
 }
 
 Status Journal::replay(
@@ -505,14 +460,17 @@ void Journal::drop_recovered_tail() {
 
 Status Journal::write_snapshot(const std::string& payload) {
   MutexLock lock(mu_);
+  // The snapshot covers every record appended so far: make them durable
+  // first so the on-disk state never goes backwards if the snapshot write
+  // dies. Records other threads append meanwhile stay in the log.
+  const Lsn snap_lsn = next_lsn_ - 1;
+  if (auto s = sync_locked(lock, snap_lsn); !s.ok()) return s;
+  // The roll below replaces the live segment: no leader may be writing it.
+  while (flushing_) durable_cv_.wait(lock);
   if (dead_) return Status{Errc::io_error, "journal is dead"};
-  // The snapshot covers every appended record: flush them first so the
-  // on-disk state never goes backwards if the snapshot write dies.
-  if (auto s = flush_locked(); !s.ok()) return s;
   // Snapshot failures are non-fatal: segments are intact, replay stays
   // complete, the caller just keeps the longer tail.
   NEST_FAILPOINT("journal.snapshot", return Status{err});
-  const Lsn snap_lsn = next_lsn_ - 1;
 
   const std::string path =
       options_.dir + "/" + lsn_name("snap-", snap_lsn, ".snp");
@@ -547,12 +505,14 @@ Status Journal::write_snapshot(const std::string& payload) {
   snapshot_path_ = path;
   snapshot_lsn_ = snap_lsn;
   snapshot_time_ = clock_.now();
-  records_since_snapshot_ = 0;
+  records_since_snapshot_ = next_lsn_ - 1 - snap_lsn;
 
-  // Compaction: roll to a fresh segment, then delete everything the
-  // snapshot supersedes (all older segments and the previous snapshot).
-  if (auto s = open_segment_locked(next_lsn_); !s.ok()) return s;
-  while (segments_.size() > 1) {
+  // Compaction: roll to a fresh segment at the first unwritten LSN, then
+  // delete everything the snapshot supersedes: the previous snapshot and
+  // every segment whose records all lie at or below snap_lsn (a flush led
+  // by another thread may have written later ones into the old segment).
+  if (auto s = open_segment_locked(durable_lsn_ + 1); !s.ok()) return s;
+  while (segments_.size() > 1 && segments_[1].start_lsn <= snap_lsn + 1) {
     // Best-effort: an undeleted old segment is re-compacted next time.
     (void)::unlink(segments_.front().path.c_str());
     segments_.erase(segments_.begin());

@@ -16,19 +16,17 @@
 // truncates (a crash mid-write never corrupts acknowledged records
 // because acknowledgment waits for commit()).
 //
-// Durability modes:
-//   always  every commit() flushes + fsyncs the caller's record
-//   group   a committer thread batches appends and fsyncs once per
-//           commit interval; commit() blocks until the caller's LSN is
-//           covered by a batch fsync (group commit)
-//   none    commit() returns immediately (benchmark baseline only)
+// Commit: the first commit() caller that finds no flush in flight leads —
+// it writes every pending frame outside the lock, fsyncs them (unless sync
+// is none, a benchmark baseline) and wakes the followers; appends made
+// meanwhile form the next batch, so concurrent commits share one fsync.
 //
-// Crash-point fault injection: with crash_after_frames >= 0, the Nth
-// frame write tears mid-frame, un-fsynced bytes are discarded (emulating
-// page-cache loss), and the journal goes dead — every later append or
-// commit fails. Tests reopen the directory and assert replay converges
-// to exactly the acknowledged prefix. nestd wires the JOURNAL_CRASH_AFTER
-// environment variable to this knob for out-of-process harnesses.
+// Crash-point fault injection: `journal.crash=after(n)return()` tears frame
+// n+1, discards un-fsynced bytes (emulating page-cache loss), and kills the
+// journal — every later append or commit fails. Tests reopen the directory
+// and assert replay converges to exactly the acknowledged prefix. Other
+// failpoints: journal.append, journal.write, journal.fsync,
+// journal.segment_roll, journal.snapshot.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +34,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -48,26 +45,16 @@ namespace nest::journal {
 // Log sequence number; 1 is the first record, 0 means "nothing".
 using Lsn = std::uint64_t;
 
-enum class SyncMode { none, group, always };
+enum class SyncMode { none, always };
 
-// "none" | "group" | "always".
+// "none" | "always". "group" is accepted as an old name for always: every
+// durable commit batches now.
 NEST_NODISCARD Result<SyncMode> sync_mode_by_name(const std::string& name);
 
 struct JournalOptions {
   std::string dir;
   SyncMode sync = SyncMode::always;
-  Nanos commit_interval = 5 * kMillisecond;  // group-commit fsync cadence
   std::int64_t segment_bytes = 4 * 1024 * 1024;  // roll threshold
-  // Legacy per-instance crash point: tear the (N+1)th frame written to
-  // the OS and go dead. -1 disables. New code should arm the process-wide
-  // `journal.crash=after(n)return()` failpoint instead (same tear
-  // semantics); this counter remains for test loops that need per-journal
-  // isolation. Additional journal failpoints: journal.append,
-  // journal.write, journal.fsync, journal.segment_roll, journal.snapshot.
-  long crash_after_frames = -1;
-
-  // Compat shim: overlay JOURNAL_CRASH_AFTER from the environment.
-  void apply_env();
 };
 
 struct JournalStats {
@@ -98,7 +85,8 @@ class Journal {
   // commit(lsn) returns ok.
   NEST_NODISCARD Result<Lsn> append(std::string payload);
 
-  // Durability barrier for every record up to `upto`.
+  // Durability barrier for every record up to `upto` (clamped to the last
+  // appended LSN).
   NEST_NODISCARD Status commit(Lsn upto);
 
   // append + commit in one call.
@@ -133,23 +121,26 @@ class Journal {
   // the lock keeps every access to the guarded members analyzable.
   Status recover() REQUIRES(mu_);
   Status open_segment_locked(Lsn start_lsn) REQUIRES(mu_);
-  // Write pending frames + fsync per mode.
-  Status flush_locked() REQUIRES(mu_);
-  void committer_main();
+  // The shared commit loop: returns once every record up to `upto` is
+  // durable, leading a flush or waiting on one as needed. Releases mu_
+  // while a flush it leads does its I/O.
+  Status sync_locked(MutexLock& lock, Lsn upto) REQUIRES(mu_);
 
   Clock& clock_;
   JournalOptions options_;
 
   mutable Mutex mu_{lockrank::Rank::journal, "journal.mu"};
   CondVar durable_cv_;
-  CondVar committer_cv_;
 
   // Append state.
   Lsn next_lsn_ GUARDED_BY(mu_) = 1;
   Lsn durable_lsn_ GUARDED_BY(mu_) = 0;
-  // Encoded frames awaiting flush.
+  // Encoded frames awaiting flush; with no flush in flight the first one
+  // is durable_lsn_ + 1.
   std::vector<std::string> pending_ GUARDED_BY(mu_);
-  Lsn pending_first_lsn_ GUARDED_BY(mu_) = 0;
+  // A leader is writing a batch with mu_ released: it alone touches the
+  // live segment until it clears this.
+  bool flushing_ GUARDED_BY(mu_) = false;
   bool dead_ GUARDED_BY(mu_) = false;
 
   // Current segment.
@@ -186,9 +177,6 @@ class Journal {
   std::uint64_t appends_ GUARDED_BY(mu_) = 0;
   std::uint64_t commits_ GUARDED_BY(mu_) = 0;
   std::uint64_t fsyncs_ GUARDED_BY(mu_) = 0;
-
-  std::thread committer_;
-  bool stop_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace nest::journal

@@ -50,11 +50,6 @@ Result<NestdConfig> options_from_config(const Config& cfg) {
     if (!mode.ok()) return mode.error();
     opts.journal_sync = *mode;
   }
-  opts.journal_commit_interval =
-      cfg.get_duration("journal_commit", 5 * kMillisecond);
-  if (opts.journal_commit_interval <= 0) {
-    return Error{Errc::invalid_argument, "journal_commit must be positive"};
-  }
   opts.journal_snapshot_every = static_cast<std::uint64_t>(
       cfg.get_int("journal_snapshot_every", 4096));
   if (cfg.has("journal_sync") && opts.journal_dir.empty()) {

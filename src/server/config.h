@@ -5,7 +5,7 @@
 // Recognized keys (see nestd.cpp header for the full commented example):
 //   root capacity name chirp_port http_port ftp_port gridftp_port nfs_port
 //   scheduler anonymous slots
-//   journal journal_sync journal_commit journal_snapshot_every
+//   journal journal_sync journal_snapshot_every
 //   cluster_role cluster_peers replication_factor
 //   cluster_heartbeat cluster_heartbeat_timeout
 //   cold_dir cold_backend cold_capacity cold_bandwidth cold_open_latency_ms

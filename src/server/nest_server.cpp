@@ -136,9 +136,6 @@ Status NestServer::init() {
     journal::JournalOptions jopts;
     jopts.dir = options_.journal_dir;
     jopts.sync = options_.journal_sync;
-    jopts.commit_interval = options_.journal_commit_interval;
-    jopts.apply_env();  // JOURNAL_CRASH_AFTER compat shim (see journal.h);
-                        // new drills use journal.* failpoints instead
     auto j = journal::Journal::open(RealClock::instance(), jopts);
     if (!j.ok()) return Status{j.error()};
     journal_ = std::move(j.value());
@@ -318,17 +315,28 @@ void NestServer::accept_loop(net::TcpListener* listener,
     backoff.reset();
     // Timeout setup is advisory: a stream without it still works.
     (void)stream->set_read_timeout(options_.idle_timeout_ms);
+    std::vector<std::thread> ended;
+    {
+      MutexLock lock(conn_mu_);
+      for (const std::thread::id id : finished_)
+        ended.push_back(std::move(connections_.extract(id).mapped()));
+      finished_.clear();
+    }
+    for (std::thread& t : ended) t.join();
     MutexLock lock(conn_mu_);
     const int fd = stream->fd();
     conn_fds_.insert(fd);
-    connections_.emplace_back(
-        [this, handler, fd, s = std::move(stream.value())]() mutable {
-          handler->serve(s);
-          // The lambda still owns the stream, so the fd stays open (and
-          // thus unrecycled) until after it is unregistered.
-          MutexLock inner(conn_mu_);
-          conn_fds_.erase(fd);
-        });
+    std::thread t([this, handler, fd, s = std::move(stream.value())]() mutable {
+      handler->serve(s);
+      // The lambda still owns the stream, so the fd stays open (and thus
+      // unrecycled) until after it is unregistered.
+      MutexLock inner(conn_mu_);
+      conn_fds_.erase(fd);
+      finished_.push_back(std::this_thread::get_id());
+    });
+    // The thread cannot report itself finished before it is in the map:
+    // that takes conn_mu_, which this acceptor holds.
+    connections_.emplace(t.get_id(), std::move(t));
   }
 }
 
@@ -341,16 +349,14 @@ void NestServer::stop() {
     if (ep.acceptor.joinable()) ep.acceptor.join();
   }
   if (nfs_) nfs_->stop();
-  std::vector<std::thread> conns;
+  std::unordered_map<std::thread::id, std::thread> conns;
   {
     MutexLock lock(conn_mu_);
     conns.swap(connections_);
     // Kick handler threads out of blocking reads on idle connections.
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& t : conns) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : conns) t.join();
   if (dispatcher_) dispatcher_->stop_publishing();
 }
 

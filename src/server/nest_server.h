@@ -15,6 +15,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster_node.h"
@@ -107,8 +108,7 @@ struct NestServerOptions {
   // once durable per journal_sync.
   std::string journal_dir;
   journal::SyncMode journal_sync = journal::SyncMode::always;
-  Nanos journal_commit_interval = 5 * kMillisecond;  // group-commit cadence
-  std::uint64_t journal_snapshot_every = 4096;       // compaction cadence
+  std::uint64_t journal_snapshot_every = 4096;  // compaction cadence
 
   // Failpoints to arm at startup, "name=spec;name=spec" (action grammar:
   // docs/fault-injection.md). Armed in init() before any endpoint binds;
@@ -176,7 +176,12 @@ class NestServer {
   std::unique_ptr<protocol::NfsService> nfs_;  // UDP RPC service
 
   Mutex conn_mu_{lockrank::Rank::server_conn, "server.conn"};
-  std::vector<std::thread> connections_ GUARDED_BY(conn_mu_);
+  std::unordered_map<std::thread::id, std::thread> connections_
+      GUARDED_BY(conn_mu_);
+  // Connection threads done serving. The acceptor joins them before it
+  // spawns the next one: an exited thread keeps its stack mapped until
+  // joined.
+  std::vector<std::thread::id> finished_ GUARDED_BY(conn_mu_);
   // Live connection sockets, for shutdown-on-stop.
   std::set<int> conn_fds_ GUARDED_BY(conn_mu_);
   std::atomic<bool> stopping_{false};

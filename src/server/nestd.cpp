@@ -14,8 +14,7 @@
 //   slots       = 8
 //   bandwidth   = 400M                        (total rate cap; 0 = off)
 //   journal     = /path/to/journal            (metadata WAL; empty = off)
-//   journal_sync= always | group | none
-//   journal_commit = 5ms                      (group-commit fsync cadence)
+//   journal_sync= always | none               ("group" reads as always)
 //   journal_snapshot_every = 4096             (records between snapshots)
 //   failpoints  = journal.fsync=after(3)crash;net.send=prob(0.01)return(EPIPE)
 //                 (fault drills; $NEST_FAILPOINTS overlays this at startup

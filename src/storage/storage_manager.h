@@ -16,8 +16,8 @@
 // Thread safety: the dispatcher serializes storage operations (the paper
 // executes them synchronously in a thread-safe schedule); an internal mutex
 // enforces that invariant even for callers outside the dispatcher. The
-// journal commit wait deliberately happens *outside* that mutex so group
-// commit can batch concurrent operations into one fsync.
+// journal commit wait deliberately happens *outside* that mutex so the
+// journal can batch concurrent operations into one fsync.
 #pragma once
 
 #include <functional>
@@ -289,8 +289,8 @@ class StorageManager {
   Result<journal::Lsn> seal_batch_locked() REQUIRES(mu_);
   void maybe_snapshot_locked() REQUIRES(mu_);
   // Durability barrier, called WITHOUT mu_ so concurrent operations share
-  // a group-commit fsync. journal_ is read unguarded here: it is set once
-  // in attach_journal (before the server serves) and never reassigned.
+  // one journal leader's fsync. journal_ is read unguarded here: it is set
+  // once in attach_journal (before the server serves) and never reassigned.
   Status barrier(journal::Lsn lsn) EXCLUDES(mu_);
 
   // Operation bodies, run under mu_ with batch recording.

@@ -6,9 +6,8 @@
 // ManualClock while journal.* failpoints kill the journal at random
 // points. After every death the journal directory is reopened into a
 // fresh manager and its recovered state must byte-compare equal to the
-// shadow model (exact state under sync=always; some consistent prefix
-// state under group commit). Every episode drives at least one
-// kill-and-restart recovery cycle.
+// shadow model exactly. Every episode drives at least one kill-and-restart
+// recovery cycle.
 //
 // Phase B (ServerChaos / ServerRestartChaos): a live NestServer runs a
 // mixed Chirp/HTTP/NFS workload under probabilistic net/fs/transfer
@@ -271,36 +270,30 @@ void check_lot_invariants(storage::StorageManager& sm, std::uint64_t seed) {
 
 // One full episode: rounds of (recover+verify, arm fault, random ops until
 // the journal dies), ending with a final recovery verification.
-void run_meta_episode(std::uint64_t seed, bool group_mode, int* restarts) {
+void run_meta_episode(std::uint64_t seed, int* restarts) {
   FpGuard guard;
   fault::registry().seed(seed);
   Rng rng(seed);
   ManualClock clock;
   auto shadow = make_sm(clock);
-  // shadow_states[i] = serialized shadow state after i applied ops; the
-  // group-commit recovery target is some member of this prefix chain.
-  std::vector<std::string> shadow_states{shadow->serialize_meta(0)};
   MetaWorld world;
 
-  const std::string jdir =
-      scratch_dir("meta_" + std::to_string(seed) + (group_mode ? "_g" : "_a"));
+  const std::string jdir = scratch_dir("meta_" + std::to_string(seed));
   fsys::remove_all(jdir);
 
   journal::JournalOptions jo;
   jo.dir = jdir;
-  jo.sync = group_mode ? journal::SyncMode::group : journal::SyncMode::always;
-  jo.commit_interval = kMillisecond;
+  jo.sync = journal::SyncMode::always;
   jo.segment_bytes = 2048;  // force real segment rolls mid-episode
 
-  // journal.append evals once per sealed batch and journal.crash once per
-  // frame, so a budget of 40 mutating ops always trips after(<=10); the
-  // flush-level points (write/fsync) only guarantee that under sync=always
-  // where every op is its own flush.
-  const char* kFatalAlways[] = {"journal.crash", "journal.write",
-                                "journal.fsync", "journal.append"};
-  const char* kFatalGroup[] = {"journal.crash", "journal.append"};
+  // journal.append evals once per sealed batch, journal.crash and
+  // journal.write once per frame, and journal.fsync once per flush; with
+  // one op in flight every op is its own flush, so a budget of 40
+  // mutating ops always trips after(<=10).
+  const char* kFatal[] = {"journal.crash", "journal.write", "journal.fsync",
+                          "journal.append"};
 
-  const int rounds = group_mode ? 1 : 2;
+  const int rounds = 2;
   for (int round = 0; round <= rounds; ++round) {
     auto j = journal::Journal::open(clock, jo);
     ASSERT_TRUE(j.ok()) << "seed " << seed << ": " << j.error().to_string();
@@ -308,21 +301,10 @@ void run_meta_episode(std::uint64_t seed, bool group_mode, int* restarts) {
     ASSERT_TRUE(live->attach_journal(**j, /*rebase_clock=*/false).ok())
         << "seed " << seed;
 
-    // Recovery verification: the reopened state equals the shadow model
-    // (exactly under sync=always; a consistent applied-prefix state under
-    // group commit, where durable may trail applied).
-    const std::string recovered = live->serialize_meta(0);
-    if (!group_mode) {
-      EXPECT_EQ(recovered, shadow_states.back())
-          << "seed " << seed << " round " << round
-          << ": recovered state diverged from shadow model";
-    } else {
-      EXPECT_NE(std::find(shadow_states.begin(), shadow_states.end(),
-                          recovered),
-                shadow_states.end())
-          << "seed " << seed << " round " << round
-          << ": recovered state matches no shadow prefix";
-    }
+    // Recovery verification: the reopened state equals the shadow model.
+    EXPECT_EQ(live->serialize_meta(0), shadow->serialize_meta(0))
+        << "seed " << seed << " round " << round
+        << ": recovered state diverged from shadow model";
     check_lot_invariants(*live, seed);
     if (round == rounds) break;  // final verification pass, no more ops
 
@@ -334,9 +316,7 @@ void run_meta_episode(std::uint64_t seed, bool group_mode, int* restarts) {
     world.files.clear();
     world.dirs.clear();
 
-    const char* fatal =
-        group_mode ? kFatalGroup[rng.uniform(0, 1)]
-                   : kFatalAlways[rng.uniform(0, 3)];
+    const char* fatal = kFatal[rng.uniform(0, 3)];
     const std::string k = std::to_string(rng.uniform(0, 10));
     ASSERT_TRUE(
         fault::registry().arm(fatal, "after(" + k + ")return()").ok());
@@ -370,7 +350,6 @@ void run_meta_episode(std::uint64_t seed, bool group_mode, int* restarts) {
         EXPECT_EQ(live_lot, shadow_lot) << "seed " << seed << " op " << i;
       }
       book_keep(world, op, live_ok && shadow_ok, live_lot);
-      shadow_states.push_back(shadow->serialize_meta(0));
     }
     EXPECT_TRUE(died) << "seed " << seed << " round " << round
                       << ": fatal failpoint never tripped";
@@ -385,8 +364,7 @@ class MetaChaos : public ::testing::TestWithParam<int> {};
 TEST_P(MetaChaos, RecoveredStateConvergesToShadowModel) {
   const int idx = GetParam();
   int restarts = 0;
-  run_meta_episode(kSeedBase + static_cast<std::uint64_t>(idx),
-                   /*group_mode=*/idx % 5 == 4, &restarts);
+  run_meta_episode(kSeedBase + static_cast<std::uint64_t>(idx), &restarts);
   // Every episode must exercise at least one kill-and-restart cycle.
   EXPECT_GE(restarts, 1) << "seed index " << idx;
 }
@@ -406,7 +384,7 @@ TEST(ChaosSoak, ExtraSeeds) {
   int restarts = 0;
   for (long i = 0; i < n; ++i) {
     run_meta_episode(kSeedBase + 1000 + static_cast<std::uint64_t>(i),
-                     /*group_mode=*/i % 5 == 4, &restarts);
+                     &restarts);
   }
   EXPECT_GE(restarts, static_cast<int>(n));
 }

@@ -269,59 +269,6 @@ TEST_F(FaultDirTest, JournalAppendFailpointKillsTheJournal) {
   EXPECT_EQ(replayed, 1u);
 }
 
-// Regression for the JOURNAL_CRASH_AFTER subsumption: the failpoint spec
-// `journal.crash=after(n)return()` must reproduce the legacy counter's
-// semantics exactly — n frames durable, frame n+1 torn, journal dead.
-TEST_F(FaultDirTest, JournalCrashFailpointMatchesLegacyCounter) {
-  for (int n = 0; n <= 3; ++n) {
-    auto count_recovered = [&](const std::string& jdir) {
-      ManualClock clock;
-      journal::JournalOptions opts;
-      opts.dir = jdir;
-      auto j = journal::Journal::open(clock, opts);
-      EXPECT_TRUE(j.ok());
-      std::size_t replayed = 0;
-      (void)(*j)->replay([&](journal::Lsn, std::string_view) {
-        ++replayed;
-        return Status{};
-      });
-      return replayed;
-    };
-    const auto run = [&](const std::string& jdir, bool use_failpoint) {
-      ManualClock clock;
-      journal::JournalOptions opts;
-      opts.dir = jdir;
-      opts.sync = journal::SyncMode::always;
-      if (use_failpoint) {
-        EXPECT_TRUE(fault::registry()
-                        .arm("journal.crash",
-                             "after(" + std::to_string(n) + ")return()")
-                        .ok());
-      } else {
-        opts.crash_after_frames = n;
-      }
-      auto j = journal::Journal::open(clock, opts);
-      EXPECT_TRUE(j.ok());
-      int acked = 0;
-      for (int i = 0; i < 6; ++i) {
-        if ((*j)->append_commit("op" + std::to_string(i)).ok()) ++acked;
-      }
-      fault::registry().disarm_all();
-      EXPECT_TRUE((*j)->dead());
-      return acked;
-    };
-    const std::string legacy_dir = dir_ + "/legacy" + std::to_string(n);
-    const std::string fp_dir = dir_ + "/fp" + std::to_string(n);
-    const int legacy_acked = run(legacy_dir, false);
-    const int fp_acked = run(fp_dir, true);
-    EXPECT_EQ(legacy_acked, fp_acked) << "crash point " << n;
-    EXPECT_EQ(legacy_acked, n) << "crash point " << n;
-    EXPECT_EQ(count_recovered(legacy_dir), count_recovered(fp_dir))
-        << "crash point " << n;
-    EXPECT_EQ(count_recovered(fp_dir), static_cast<std::size_t>(n));
-  }
-}
-
 TEST_F(FaultDirTest, JournalFsyncFailpointFailsTheBarrier) {
   ManualClock clock;
   journal::JournalOptions opts;

@@ -452,12 +452,17 @@ TEST_F(HsmTest, CrashPointReplayRecoversResidencyExactly) {
       journal::JournalOptions opts;
       opts.dir = jdir;
       opts.sync = journal::SyncMode::always;
-      opts.crash_after_frames = crash_after;
       auto j = journal::Journal::open(clock, opts);
       ASSERT_TRUE(j.ok());
       auto sm = make_sm(clock);
       ASSERT_TRUE(sm->attach_journal(**j).ok());
+      ASSERT_TRUE(fault::registry()
+                      .arm("journal.crash", "after(" +
+                                                std::to_string(crash_after) +
+                                                ")return()")
+                      .ok());
       acked = run_hsm_script(*sm, clock);
+      fault::registry().disarm_all();
       EXPECT_EQ(acked, std::min(crash_after, kHsmScriptOps));
     }
     ManualClock clock2;

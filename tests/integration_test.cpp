@@ -3,11 +3,15 @@
 // one policy engine, many protocols — on actual sockets.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <string>
+
 #include "client/chirp_client.h"
 #include "common/string_util.h"
 #include "client/ftp_client.h"
 #include "client/http_client.h"
 #include "client/nfs_client.h"
+#include "net/socket.h"
 #include "server/nest_server.h"
 
 namespace nest {
@@ -19,6 +23,33 @@ using client::HttpClient;
 using client::NfsClient;
 using server::NestServer;
 using server::NestServerOptions;
+
+// Mappings and virtual size of this process: the two numbers every exited
+// but unjoined connection thread inflates (its stack stays mapped).
+struct VmFootprint {
+  long maps = 0;
+  long vm_kb = 0;
+};
+VmFootprint vm_footprint() {
+  VmFootprint out;
+  std::ifstream maps("/proc/self/maps");
+  for (std::string line; std::getline(maps, line);) ++out.maps;
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) out.vm_kb = std::stol(line.substr(7));
+  }
+  return out;
+}
+
+// `n` of the cheapest complete connections: connect, read the banner,
+// close.
+void churn(uint16_t port, int n) {
+  for (int i = 0; i < n; ++i) {
+    auto s = net::TcpStream::connect("127.0.0.1", port);
+    ASSERT_TRUE(s.ok()) << "connection " << i << ": " << s.error().to_string();
+    ASSERT_TRUE(s->read_line().ok()) << "connection " << i;
+  }
+}
 
 class IntegrationTest : public ::testing::Test {
  protected:
@@ -602,6 +633,18 @@ TEST_F(IntegrationTest, ConcurrentClientsInterleave) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// An appliance runs unattended: memory stays flat however many
+// connections it has served, because finished connection threads are
+// joined as the server goes rather than kept until stop().
+TEST_F(IntegrationTest, ConnectionChurnKeepsMemoryFlat) {
+  churn(server_->chirp_port(), 500);  // warm-up: allocator and stack caches
+  const VmFootprint warm = vm_footprint();
+  churn(server_->chirp_port(), 10'000);
+  const VmFootprint end = vm_footprint();
+  EXPECT_LT(end.maps - warm.maps, 200);
+  EXPECT_LT(end.vm_kb - warm.vm_kb, 256 * 1024);
 }
 
 }  // namespace

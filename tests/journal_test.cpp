@@ -1,12 +1,16 @@
 // Recovery tests for the durable metadata journal: record codec, torn-tail
-// truncation, snapshot + tail replay, crash-point fault injection, group
-// commit, and a full server restart over Chirp. The binary carries the
-// `recovery` CTest label so tier-1 can rerun it under asan.
+// truncation, snapshot + tail replay, crash-point fault injection, batched
+// commits, and a full server restart over Chirp. The binary carries the
+// `recovery` CTest label, which tier-1 reruns under both asan and tsan
+// (the latter for the leader/follower commit).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -54,7 +58,10 @@ class JournalTest : public ::testing::Test {
                .string();
     fs::remove_all(dir_);
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override {
+    fault::registry().disarm_all();
+    fs::remove_all(dir_);
+  }
 
   std::string dir_;
 };
@@ -225,8 +232,7 @@ TEST_F(JournalTest, CorruptSegmentDropsLaterSegments) {
 TEST_F(JournalTest, GroupCommitBatchesFsyncs) {
   journal::JournalOptions opts;
   opts.dir = dir_;
-  opts.sync = journal::SyncMode::group;
-  opts.commit_interval = 2 * kMillisecond;
+  opts.sync = journal::SyncMode::always;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50;
   {
@@ -246,7 +252,7 @@ TEST_F(JournalTest, GroupCommitBatchesFsyncs) {
     const auto st = (*j)->stats();
     EXPECT_EQ(st.appends, static_cast<std::uint64_t>(kThreads * kPerThread));
     EXPECT_EQ(st.durable_lsn, st.last_lsn);
-    // The whole point of group commit: far fewer fsyncs than commits.
+    // Concurrent committers share fsyncs: fewer fsyncs than commits.
     EXPECT_LT(st.fsyncs, st.appends);
   }
   auto j = journal::Journal::open(RealClock::instance(), opts);
@@ -261,67 +267,147 @@ TEST_F(JournalTest, GroupCommitBatchesFsyncs) {
   EXPECT_EQ(count, static_cast<std::size_t>(kThreads * kPerThread));
 }
 
-TEST(JournalOptionsEnv, CrashAfterFromEnvironment) {
-  ::setenv("JOURNAL_CRASH_AFTER", "7", 1);
+// Commits that arrive while a leader's fsync is in flight wait for it and
+// then share the next fsync, instead of queueing one fsync each behind it.
+TEST_F(JournalTest, CommitsQueuedBehindAnFsyncShareOneBatch) {
   journal::JournalOptions opts;
-  opts.apply_env();
-  EXPECT_EQ(opts.crash_after_frames, 7);
-  ::unsetenv("JOURNAL_CRASH_AFTER");
-  opts.crash_after_frames = -1;
-  opts.apply_env();
-  EXPECT_EQ(opts.crash_after_frames, -1);
+  opts.dir = dir_;
+  opts.sync = journal::SyncMode::always;
+  auto j = journal::Journal::open(RealClock::instance(), opts);
+  ASSERT_TRUE(j.ok());
+  const std::uint64_t fsyncs_before = (*j)->stats().fsyncs;
+  fault::FailPoint& fsync_point = fault::registry().point("journal.fsync");
+  const std::uint64_t evals_before = fsync_point.evals();
+  ASSERT_TRUE(fault::registry().arm("journal.fsync", "sleep(150)").ok());
+
+  constexpr int kCommitters = 8;
+  std::atomic<int> acked{0};
+  const auto commit_one = [&](int i) {
+    if ((*j)->append_commit("rec" + std::to_string(i)).ok()) ++acked;
+  };
+  std::vector<std::thread> committers;
+  committers.emplace_back(commit_one, 0);
+  // The first committer is now asleep inside its fsync.
+  while (fsync_point.evals() == evals_before) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 1; i < kCommitters; ++i) committers.emplace_back(commit_one, i);
+  for (std::thread& t : committers) t.join();
+  fault::registry().disarm_all();
+
+  EXPECT_EQ(acked.load(), kCommitters);
+  const auto st = (*j)->stats();
+  EXPECT_EQ(st.durable_lsn, static_cast<journal::Lsn>(kCommitters));
+  EXPECT_LE(st.fsyncs - fsyncs_before, 3u);
 }
 
-// Regression for the JOURNAL_CRASH_AFTER subsumption: the legacy env shim
-// and its replacement — NEST_FAILPOINTS=journal.crash=after(n)return() —
-// must produce identical torn-tail semantics end-to-end (n frames
-// acknowledged and recoverable, the journal dead afterwards).
-TEST_F(JournalTest, EnvCrashShimAndCrashFailpointAgree) {
-  const auto run = [&](const std::string& jdir) {
-    ManualClock clock;
+// A crash while several threads commit at once: the leader tears the
+// batch and the journal dies, every follower parked behind it wakes with
+// an error (a hang would trip the test timeout), and replay still holds
+// every record any thread saw acknowledged, with contiguous LSNs.
+TEST_F(JournalTest, ConcurrentCrashPointKeepsEveryAckedRecord) {
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 10;  // 80 frames: every crash point below fires
+  for (int k = 0; k <= 39; k += 3) {
+    const std::string jdir = dir_ + "_c" + std::to_string(k);
+    fs::remove_all(jdir);
     journal::JournalOptions opts;
     opts.dir = jdir;
-    opts.apply_env();  // legacy surface; a no-op for the failpoint run
-    auto j = journal::Journal::open(clock, opts);
-    EXPECT_TRUE(j.ok());
-    int acked = 0;
-    for (int i = 0; i < 6; ++i) {
-      if ((*j)->append_commit("rec" + std::to_string(i)).ok()) ++acked;
+    std::vector<std::vector<std::string>> acked(kThreads);
+    {
+      auto j = journal::Journal::open(RealClock::instance(), opts);
+      ASSERT_TRUE(j.ok());
+      ASSERT_TRUE(fault::registry()
+                      .arm("journal.crash",
+                           "after(" + std::to_string(k) + ")return()")
+                      .ok());
+      std::vector<std::thread> workers;
+      for (int t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&j, &acked, t] {
+          for (int i = 0; i < kPerThread; ++i) {
+            std::string rec = "t" + std::to_string(t) + "-" + std::to_string(i);
+            if (!(*j)->append_commit(rec).ok()) return;
+            acked[static_cast<std::size_t>(t)].push_back(std::move(rec));
+          }
+        });
+      }
+      for (std::thread& w : workers) w.join();
+      fault::registry().disarm_all();
+      EXPECT_TRUE((*j)->dead()) << "crash point " << k;
     }
-    EXPECT_TRUE((*j)->dead());
-    return acked;
-  };
-  const auto recovered = [&](const std::string& jdir) {
-    ManualClock clock;
-    journal::JournalOptions opts;
-    opts.dir = jdir;
-    auto j = journal::Journal::open(clock, opts);
-    EXPECT_TRUE(j.ok());
-    std::size_t n = 0;
-    (void)(*j)->replay([&](journal::Lsn, std::string_view) {
-      ++n;
-      return Status{};
+    auto j = journal::Journal::open(RealClock::instance(), opts);
+    ASSERT_TRUE(j.ok()) << "crash point " << k;
+    std::set<std::string> replayed;
+    journal::Lsn next = 1;
+    ASSERT_TRUE((*j)
+                    ->replay([&](journal::Lsn lsn, std::string_view p) {
+                      EXPECT_EQ(lsn, next++) << "crash point " << k;
+                      replayed.emplace(p);
+                      return Status{};
+                    })
+                    .ok());
+    for (const auto& thread_acked : acked) {
+      for (const std::string& rec : thread_acked) {
+        EXPECT_EQ(replayed.count(rec), 1u)
+            << "crash point " << k << ": acked " << rec << " lost";
+      }
+    }
+    fs::remove_all(jdir);
+  }
+}
+
+// write_snapshot releases the lock while it syncs, so commits from other
+// threads can land in the live segment past the snapshot's LSN while it
+// runs; compaction must keep those records.
+TEST_F(JournalTest, SnapshotDuringConcurrentCommitsKeepsEveryAckedRecord) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 100;
+  journal::JournalOptions opts;
+  opts.dir = dir_;
+  std::vector<std::vector<std::pair<journal::Lsn, std::string>>> acked(
+      kThreads);
+  {
+    auto j = journal::Journal::open(RealClock::instance(), opts);
+    ASSERT_TRUE(j.ok());
+    std::atomic<bool> done{false};
+    std::thread snapshotter([&] {
+      while (!done.load()) EXPECT_TRUE((*j)->write_snapshot("snap").ok());
     });
-    return n;
-  };
-
-  ::setenv("JOURNAL_CRASH_AFTER", "3", 1);
-  const int legacy_acked = run(dir_ + "_legacy");
-  ::unsetenv("JOURNAL_CRASH_AFTER");
-
-  fault::registry().disarm_all();
-  ::setenv("NEST_FAILPOINTS", "journal.crash=after(3)return()", 1);
-  fault::registry().apply_env();
-  ::unsetenv("NEST_FAILPOINTS");
-  const int fp_acked = run(dir_ + "_fp");
-  fault::registry().disarm_all();
-
-  EXPECT_EQ(legacy_acked, 3);
-  EXPECT_EQ(fp_acked, legacy_acked);
-  EXPECT_EQ(recovered(dir_ + "_legacy"), 3u);
-  EXPECT_EQ(recovered(dir_ + "_fp"), 3u);
-  fs::remove_all(dir_ + "_legacy");
-  fs::remove_all(dir_ + "_fp");
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&j, &acked, t] {
+        for (int i = 0; i < kPerThread; ++i) {
+          std::string rec = "t" + std::to_string(t) + "-" + std::to_string(i);
+          auto lsn = (*j)->append_commit(rec);
+          ASSERT_TRUE(lsn.ok());
+          acked[static_cast<std::size_t>(t)].emplace_back(*lsn, std::move(rec));
+        }
+      });
+    }
+    for (std::thread& w : workers) w.join();
+    done = true;
+    snapshotter.join();
+  }
+  auto j = journal::Journal::open(RealClock::instance(), opts);
+  ASSERT_TRUE(j.ok());
+  const journal::Lsn snap = (*j)->snapshot_lsn();
+  std::map<journal::Lsn, std::string> replayed;
+  ASSERT_TRUE((*j)
+                  ->replay([&](journal::Lsn lsn, std::string_view p) {
+                    EXPECT_EQ(lsn, snap + replayed.size() + 1);
+                    replayed.emplace(lsn, p);
+                    return Status{};
+                  })
+                  .ok());
+  EXPECT_EQ(snap + replayed.size(),
+            static_cast<journal::Lsn>(kThreads * kPerThread));
+  for (const auto& thread_acked : acked) {
+    for (const auto& [lsn, rec] : thread_acked) {
+      if (lsn > snap) {
+        EXPECT_EQ(replayed[lsn], rec) << "lsn " << lsn;
+      }
+    }
+  }
 }
 
 // ---------- storage manager recovery ----------
@@ -484,12 +570,17 @@ TEST_F(JournalTest, CrashPointReplayConvergesToAckedPrefix) {
       journal::JournalOptions opts;
       opts.dir = jdir;
       opts.sync = journal::SyncMode::always;
-      opts.crash_after_frames = crash_after;
       auto j = journal::Journal::open(clock, opts);
       ASSERT_TRUE(j.ok());
       auto sm = make_sm(clock);
       ASSERT_TRUE(sm->attach_journal(**j).ok());
+      ASSERT_TRUE(fault::registry()
+                      .arm("journal.crash", "after(" +
+                                                std::to_string(crash_after) +
+                                                ")return()")
+                      .ok());
       acked = run_script(*sm, clock);
+      fault::registry().disarm_all();
       // One journal frame per op: the injected crash caps the acked count.
       EXPECT_EQ(acked, std::min(crash_after, kScriptOps));
       // The tear strikes frame crash_after+1; with only kScriptOps frames
@@ -515,59 +606,6 @@ TEST_F(JournalTest, CrashPointReplayConvergesToAckedPrefix) {
     } else {
       EXPECT_EQ(sm->serialize_meta(0),
                 shadow[static_cast<std::size_t>(acked - 1)])
-          << "crash point " << crash_after;
-    }
-    fs::remove_all(jdir);
-  }
-}
-
-// Same loop under group commit: acknowledgment still implies durability,
-// so every acked op must survive (the acked count itself varies with
-// batching, which is fine).
-TEST_F(JournalTest, CrashPointReplayUnderGroupCommit) {
-  std::vector<std::string> shadow;
-  {
-    ManualClock clock;
-    auto sm = make_sm(clock);
-    ASSERT_EQ(run_script(*sm, clock, &shadow), kScriptOps);
-  }
-  for (int crash_after = 1; crash_after <= kScriptOps; crash_after += 3) {
-    const std::string jdir = dir_ + "_g" + std::to_string(crash_after);
-    fs::remove_all(jdir);
-    int acked = 0;
-    {
-      ManualClock clock;
-      journal::JournalOptions opts;
-      opts.dir = jdir;
-      opts.sync = journal::SyncMode::group;
-      opts.commit_interval = kMillisecond;
-      opts.crash_after_frames = crash_after;
-      auto j = journal::Journal::open(clock, opts);
-      ASSERT_TRUE(j.ok());
-      auto sm = make_sm(clock);
-      ASSERT_TRUE(sm->attach_journal(**j).ok());
-      acked = run_script(*sm, clock);
-      EXPECT_LE(acked, crash_after);
-    }
-    ManualClock clock2;
-    journal::JournalOptions opts;
-    opts.dir = jdir;
-    auto j = journal::Journal::open(clock2, opts);
-    ASSERT_TRUE(j.ok());
-    std::size_t replayed = 0;
-    (void)(*j)->replay([&](journal::Lsn, std::string_view) {
-      ++replayed;
-      return Status{};
-    });
-    // Acked ops are durable; the log may additionally hold appended but
-    // never-acknowledged frames only if they were covered by a batch
-    // fsync, in which case they are a longer *prefix* of the script.
-    ASSERT_GE(replayed, static_cast<std::size_t>(acked));
-    ASSERT_LE(replayed, static_cast<std::size_t>(kScriptOps));
-    auto sm = make_sm(clock2);
-    ASSERT_TRUE(sm->attach_journal(**j, /*rebase_clock=*/false).ok());
-    if (replayed > 0) {
-      EXPECT_EQ(sm->serialize_meta(0), shadow[replayed - 1])
           << "crash point " << crash_after;
     }
     fs::remove_all(jdir);

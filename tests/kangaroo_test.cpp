@@ -162,6 +162,20 @@ TEST(NestdConfig, RejectsTicketsWithoutStride) {
   EXPECT_FALSE(server::options_from_config(*cfg).ok());
 }
 
+// Configs written for the retired group-commit timer still parse: "group"
+// names the batching durable mode, and `journal_commit` is ignored like
+// any unknown key.
+TEST(NestdConfig, RetiredGroupCommitKeysStillParse) {
+  auto cfg = Config::parse(
+      "journal = /var/nest/journal\njournal_sync = group\n"
+      "journal_commit = 5ms\n");
+  ASSERT_TRUE(cfg.ok());
+  auto parsed = server::options_from_config(*cfg);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed->options.journal_dir, "/var/nest/journal");
+  EXPECT_EQ(parsed->options.journal_sync, journal::SyncMode::always);
+}
+
 TEST(NestdConfig, AppliedConfigReachesServer) {
   // `adaptive` and `models` are retired keys: like any unknown key they
   // are ignored, so an old config still starts the server.
