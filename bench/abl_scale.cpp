@@ -74,7 +74,7 @@ RunResult run_one(std::size_t users, double load_factor, bool admission_on) {
                         ? 0.0
                         : static_cast<double>(st.ops_shed) /
                               static_cast<double>(st.ops_issued);
-  r.admitted_p99_ms = server.tm().latencies().percentile_ms(99);
+  r.admitted_p99_ms = server.latency_percentile_ms(99);
   r.peak_active = st.peak_active_sessions;
   return r;
 }

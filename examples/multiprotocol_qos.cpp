@@ -84,9 +84,10 @@ int main() {
       "delivered: chirp=%.1f MB ftp=%.1f MB ratio=%.2f (target 2.0)\n",
       h / 1e6, f / 1e6, f > 0 ? h / f : 0.0);
 
-  // Per-class accounting as the transfer manager saw it.
-  for (const auto& [cls, bytes] : (*server)->tm().meter().per_class()) {
-    std::printf("  transfer manager meter: %-6s %lld bytes\n", cls.c_str(),
+  // Per-class accounting as the transfer core saw it.
+  for (const auto& [cls, bytes] :
+       (*server)->dispatcher().core().class_bytes()) {
+    std::printf("  transfer core bytes: %-6s %lld bytes\n", cls.c_str(),
                 static_cast<long long>(bytes));
   }
   (*server)->stop();

@@ -10,9 +10,10 @@
 # abl_staged abl_journal_commit abl_wire_speed abl_replication abl_scale
 # abl_hsm. Any machine-readable
 # JSONL rows a bench prints are lifted into the "rows" array; the full
-# stdout/stderr transcript is preserved verbatim under "raw". The six
-# deterministic sim transcripts (fig3-6, abl_adapt_period, abl_staged) are
-# also regression tests: CTest label `figures` (tests/check_figure.py).
+# stdout/stderr transcript is preserved verbatim under "raw". The eight
+# deterministic sim transcripts (fig3-6, abl_adapt_period, abl_staged,
+# abl_scale, abl_hsm) are also regression tests: CTest label `figures`
+# (tests/check_figure.py).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -113,7 +113,6 @@ const char* rank_name(Rank r) noexcept {
     case Rank::obs_live: return "obs_live";
     case Rank::fault_registry: return "fault_registry";
     case Rank::fault_point: return "fault_point";
-    case Rank::metrics_stripe: return "metrics_stripe";
     case Rank::logger: return "logger";
   }
   return "?";

@@ -46,7 +46,7 @@ namespace nest::lockrank {
 //   transfer_sched < transfer_shard   (drain empties shards under sched)
 //   dispatcher_load < obs_load    (observe_load samples trackers)
 //   fault_registry < fault_point  (fault-list reads specs per point)
-//   anything < metrics_stripe/logger  (leaf utilities, used everywhere)
+//   anything < logger             (leaf utility, used everywhere)
 enum class Rank : int {
   server_conn = 10,          // NestServer connection registry
   jbos_conn = 12,            // jbos::MiniServer connection registry
@@ -74,7 +74,6 @@ enum class Rank : int {
   obs_live = 64,             // trace live-buffer id registry
   fault_registry = 70,       // fault::Registry point table
   fault_point = 72,          // fault::FailPoint action state
-  metrics_stripe = 80,       // BandwidthMeter / LatencyRecorder stripes
   logger = 90,               // Logger output lock (innermost: any code logs)
 };
 

@@ -1,11 +1,7 @@
 #include "common/metrics.h"
 
-#include <algorithm>
 #include <bit>
 #include <limits>
-#include <thread>
-
-#include "common/units.h"
 
 namespace nest {
 
@@ -20,60 +16,6 @@ double jain_fairness(const std::vector<double>& ratios) {
   if (sum_sq == 0.0) return 1.0;
   const double n = static_cast<double>(ratios.size());
   return (sum * sum) / (n * sum_sq);
-}
-
-int metric_stripe_of_thread() {
-  return static_cast<int>(
-      std::hash<std::thread::id>()(std::this_thread::get_id()) %
-      static_cast<std::size_t>(kMetricStripes));
-}
-
-void LatencyRecorder::record(Nanos latency) {
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(latency, std::memory_order_relaxed);
-  Stripe& s = stripes_[metric_stripe_of_thread()];
-  MutexLock lock(s.mu);
-  if (cap_ == 0 || s.samples.size() < cap_) {
-    s.samples.push_back(latency);
-  } else {
-    // Ring overwrite: the stripe holds the most recent cap_ samples.
-    s.samples[s.next] = latency;
-    s.next = (s.next + 1) % cap_;
-  }
-}
-
-std::size_t LatencyRecorder::retained() const {
-  std::size_t n = 0;
-  for (const Stripe& s : stripes_) {
-    MutexLock lock(s.mu);
-    n += s.samples.size();
-  }
-  return n;
-}
-
-std::vector<Nanos> LatencyRecorder::snapshot() const {
-  std::vector<Nanos> all;
-  for (const Stripe& s : stripes_) {
-    MutexLock lock(s.mu);
-    all.insert(all.end(), s.samples.begin(), s.samples.end());
-  }
-  return all;
-}
-
-double LatencyRecorder::mean_ms() const {
-  const std::int64_t n = count_.load(std::memory_order_relaxed);
-  if (n == 0) return 0.0;
-  return static_cast<double>(sum_.load(std::memory_order_relaxed)) /
-         static_cast<double>(n) / 1e6;
-}
-
-double LatencyRecorder::percentile_ms(double p) const {
-  std::vector<Nanos> all = snapshot();
-  if (all.empty()) return 0.0;
-  std::sort(all.begin(), all.end());
-  const double rank = p / 100.0 * static_cast<double>(all.size() - 1);
-  const auto idx = static_cast<std::size_t>(rank);
-  return static_cast<double>(all[idx]) / 1e6;
 }
 
 int Histogram::bucket_of(Nanos v) {
@@ -140,38 +82,6 @@ double Histogram::Snapshot::percentile_ms(double p) const {
     }
   }
   return 0.0;
-}
-
-void BandwidthMeter::add(const std::string& cls, std::int64_t bytes) {
-  Stripe& s = stripes_[metric_stripe_of_thread()];
-  {
-    MutexLock lock(s.mu);
-    s.bytes[cls] += bytes;
-  }
-  total_.fetch_add(bytes, std::memory_order_relaxed);
-}
-
-double BandwidthMeter::total_mbps() const {
-  return mb_per_sec(total_.load(std::memory_order_relaxed), end_ - start_);
-}
-
-double BandwidthMeter::class_mbps(const std::string& cls) const {
-  std::int64_t bytes = 0;
-  for (const Stripe& s : stripes_) {
-    MutexLock lock(s.mu);
-    const auto it = s.bytes.find(cls);
-    if (it != s.bytes.end()) bytes += it->second;
-  }
-  return mb_per_sec(bytes, end_ - start_);
-}
-
-std::map<std::string, std::int64_t> BandwidthMeter::per_class() const {
-  std::map<std::string, std::int64_t> out;
-  for (const Stripe& s : stripes_) {
-    MutexLock lock(s.mu);
-    for (const auto& [cls, bytes] : s.bytes) out[cls] += bytes;
-  }
-  return out;
 }
 
 }  // namespace nest

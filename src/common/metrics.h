@@ -1,36 +1,15 @@
-// Measurement helpers shared by the benchmark harnesses and the transfer
-// accounting hot path: per-class byte counters, latency recorders, and
-// Jain's fairness index exactly as defined in the paper (footnote 2 of
-// Section 7.2).
-//
-// Thread-safety contract
-// ----------------------
-// BandwidthMeter and LatencyRecorder are mutated from concurrent
-// connection threads in real mode (TransferCore charges bytes and records
-// latencies while other transfers are in flight), so both are internally
-// synchronized:
-//   * writes (add / record) go to a stripe selected by the calling
-//     thread's id — threads on different stripes never contend, and a
-//     stripe's lock is only ever held for a map/vector update;
-//   * reads (total_mbps, per_class, mean_ms, ...) aggregate across all
-//     stripes under the stripe locks and may run concurrently with
-//     writers; they see a consistent per-stripe snapshot, which is exact
-//     once writers have quiesced (how the benches use them);
-//   * the running totals are plain atomics, so total-byte reads never
-//     take any lock.
-// set_window is the exception: it is a benchmark-harness call, expected
-// from a single thread with no concurrent rate reads.
+// Measurement helpers shared by the benchmark harnesses and the
+// observability registry: a wait-free latency histogram, and Jain's
+// fairness index exactly as defined in the paper (footnote 2 of Section
+// 7.2).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/clock.h"
-#include "common/mutex.h"
 
 namespace nest {
 
@@ -38,57 +17,10 @@ namespace nest {
 // 1.0 is a perfectly proportional allocation.
 double jain_fairness(const std::vector<double>& ratios);
 
-// Stripe count for the meters below; a small power of two well above the
-// core count keeps same-stripe collisions rare without bloating snapshots.
-inline constexpr int kMetricStripes = 16;
-
-// Index of the stripe the calling thread writes to.
-int metric_stripe_of_thread();
-
-// Records request latencies and reports mean / percentiles. Thread-safe
-// per the contract above.
-//
-// With the default capacity of 0 every sample is retained (exact
-// percentiles over the whole run — what the benches want). A non-zero
-// `max_samples_per_stripe` turns each stripe into a ring that overwrites
-// its oldest samples, bounding memory and snapshot cost no matter how
-// many requests churn through — the long-running-server configuration,
-// where monitoring surfaces poll mean/percentiles forever. count() and
-// mean_ms() always cover *every* sample recorded (running atomics, O(1));
-// percentiles cover the retained window.
-class LatencyRecorder {
- public:
-  LatencyRecorder() = default;
-  explicit LatencyRecorder(std::size_t max_samples_per_stripe)
-      : cap_(max_samples_per_stripe) {}
-
-  void record(Nanos latency);
-  std::size_t count() const {
-    return static_cast<std::size_t>(count_.load(std::memory_order_relaxed));
-  }
-  double mean_ms() const;
-  double percentile_ms(double p) const;  // p in [0,100]
-  // Samples currently retained for percentile queries (= count() when
-  // unbounded; bounded by stripes * capacity otherwise).
-  std::size_t retained() const;
-
- private:
-  struct alignas(64) Stripe {
-    mutable Mutex mu{lockrank::Rank::metrics_stripe, "latency.stripe"};
-    std::vector<Nanos> samples GUARDED_BY(mu);
-    std::size_t next GUARDED_BY(mu) = 0;  // ring cursor (bounded mode)
-  };
-  std::vector<Nanos> snapshot() const;
-  std::size_t cap_ = 0;  // per-stripe sample cap; 0 = unbounded
-  std::array<Stripe, kMetricStripes> stripes_;
-  std::atomic<std::int64_t> count_{0};
-  std::atomic<std::int64_t> sum_{0};  // nanoseconds
-};
-
-// Fixed-size log2-bucketed latency histogram. Unlike LatencyRecorder it
-// never allocates after construction and both record() and snapshot() are
-// wait-free (plain atomic counters), so it is safe on the block-transfer
-// hot path and inside signal-adjacent code.
+// Fixed-size log2-bucketed latency histogram. It never allocates after
+// construction and both record() and snapshot() are wait-free (plain
+// atomic counters), so it is safe on the block-transfer hot path and
+// inside signal-adjacent code.
 //
 // Bucket 0 holds everything below 1 µs (and non-positive samples); bucket
 // b >= 1 holds [1024 << (b-1), 1024 << b) ns, i.e. buckets double from
@@ -130,35 +62,6 @@ class Histogram {
   std::array<std::atomic<std::int64_t>, kBuckets> buckets_{};
   std::atomic<std::int64_t> count_{0};
   std::atomic<std::int64_t> sum_{0};
-};
-
-// Per-class byte counter over a measurement window. Thread-safe per the
-// contract above.
-class BandwidthMeter {
- public:
-  void add(const std::string& cls, std::int64_t bytes);
-  void set_window(Nanos start, Nanos end) {
-    start_ = start;
-    end_ = end;
-  }
-  std::int64_t total_bytes() const {
-    return total_.load(std::memory_order_relaxed);
-  }
-  double total_mbps() const;
-  double class_mbps(const std::string& cls) const;
-  // Aggregated snapshot across stripes (by value: the per-stripe maps keep
-  // changing underneath).
-  std::map<std::string, std::int64_t> per_class() const;
-
- private:
-  struct alignas(64) Stripe {
-    mutable Mutex mu{lockrank::Rank::metrics_stripe, "bandwidth.stripe"};
-    std::map<std::string, std::int64_t> bytes GUARDED_BY(mu);
-  };
-  std::array<Stripe, kMetricStripes> stripes_;
-  std::atomic<std::int64_t> total_{0};
-  Nanos start_ = 0;
-  Nanos end_ = 0;
 };
 
 }  // namespace nest

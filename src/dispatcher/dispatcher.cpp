@@ -208,10 +208,7 @@ std::optional<Error> Dispatcher::admit(const NestRequest& req) {
   // exercised without needing real overload.
   bool force_shed = false;
   NEST_FAILPOINT("dispatcher.admit", force_shed = true);
-  if (force_shed) {
-    obs::Stats::global().shed.fetch_add(1, std::memory_order_relaxed);
-    return Error{Errc::busy, "admission: shed (failpoint)"};
-  }
+  if (force_shed) return Error{Errc::busy, "admission: shed (failpoint)"};
   const auto v = admission_.admit(req.protocol, req.principal.name);
   if (v == transfer::AdmissionController::Verdict::admitted) {
     return std::nullopt;
@@ -255,12 +252,15 @@ Result<storage::TransferTicket> Dispatcher::approve_put(
   return t;
 }
 
-std::pair<double, double> Dispatcher::observe_load(Nanos now) const {
+Dispatcher::LoadView Dispatcher::observe_load(Nanos now) const {
+  // Read before load_mu_: the transfer registry lock is never taken under
+  // it.
+  const auto class_bytes = core_.class_bytes();
+  LoadView v;
   MutexLock lock(load_mu_);
-  const double total_bps =
-      total_rate_.observe(now, tm_.total_bytes());
-  for (const auto& [cls, bytes] : tm_.meter().per_class()) {
-    proto_rates_[cls].observe(now, bytes);
+  v.mbps = total_rate_.observe(now, tm_.total_bytes()) / 1e6;
+  for (const auto& [cls, bytes] : class_bytes) {
+    v.class_mbps[cls] = proto_rates_[cls].observe(now, bytes) / 1e6;
   }
   // Instantaneous load = occupied transfer slots as a fraction of the
   // configured slot count; > 1 means admissions are queueing.
@@ -269,7 +269,8 @@ std::pair<double, double> Dispatcher::observe_load(Nanos now) const {
       static_cast<double>(options_.transfer_slots > 0
                               ? options_.transfer_slots
                               : 1);
-  return {total_bps / 1e6, load_.observe(now, inst)};
+  v.load_avg = load_.observe(now, inst);
+  return v;
 }
 
 classad::ClassAd Dispatcher::snapshot_ad() const {
@@ -282,24 +283,19 @@ classad::ClassAd Dispatcher::snapshot_ad() const {
             classad::Value::integer(tm_.completed_requests()));
   ad.insert("BytesMoved", classad::Value::integer(tm_.total_bytes()));
   ad.insert("MeanTransferMs",
-            classad::Value::real(tm_.latencies().mean_ms()));
+            classad::Value::real(
+                obs::Stats::global().transfer_latency.mean_ms()));
   ad.insert("Scheduler",
             classad::Value::string(tm_.options().scheduler));
 
   // Live load section (paper Section 3: ads should reflect resource *and*
   // data availability, not just static capacity).
-  const Nanos now = clock_.now();
-  const auto [mbps, load_avg] = observe_load(now);
-  ad.insert("LoadAvg", classad::Value::real(load_avg));
-  ad.insert("ThroughputMBps", classad::Value::real(mbps));
-  {
-    MutexLock lock(load_mu_);
-    for (const auto& [cls, bytes] : tm_.meter().per_class()) {
-      // Window-averaged per-protocol rate; attribute per protocol class.
-      const double rate =
-          proto_rates_[cls].observe(now, bytes) / 1e6;
-      ad.insert("Throughput_" + cls, classad::Value::real(rate));
-    }
+  const LoadView load = observe_load(clock_.now());
+  ad.insert("LoadAvg", classad::Value::real(load.load_avg));
+  ad.insert("ThroughputMBps", classad::Value::real(load.mbps));
+  for (const auto& [cls, rate] : load.class_mbps) {
+    // Window-averaged per-protocol rate; attribute per protocol class.
+    ad.insert("Throughput_" + cls, classad::Value::real(rate));
   }
   auto& stats = obs::Stats::global();
   ad.insert("BytesQueued",
@@ -330,7 +326,7 @@ classad::ClassAd Dispatcher::snapshot_ad() const {
 
 std::string Dispatcher::stats_json() const {
   const Nanos now = clock_.now();
-  const auto [mbps, load_avg] = observe_load(now);
+  const LoadView load = observe_load(now);
   auto& stats = obs::Stats::global();
   const classad::ClassAd res = storage_.resource_ad();
   auto res_int = [&res](const std::string& name) {
@@ -341,17 +337,13 @@ std::string Dispatcher::stats_json() const {
   os << "{\"name\":\"" << options_.advertised_name << "\""
      << ",\"scheduler\":\"" << tm_.options().scheduler << "\""
      << ",\"uptime_sec\":" << to_seconds(now - started_)
-     << ",\"load\":{\"load_avg\":" << load_avg
-     << ",\"throughput_mbps\":" << mbps << ",\"per_protocol_mbps\":{";
-  {
-    MutexLock lock(load_mu_);
-    bool first = true;
-    for (const auto& [cls, bytes] : tm_.meter().per_class()) {
-      if (!first) os << ",";
-      first = false;
-      os << "\"" << cls
-         << "\":" << proto_rates_[cls].observe(now, bytes) / 1e6;
-    }
+     << ",\"load\":{\"load_avg\":" << load.load_avg
+     << ",\"throughput_mbps\":" << load.mbps << ",\"per_protocol_mbps\":{";
+  bool first = true;
+  for (const auto& [cls, rate] : load.class_mbps) {
+    if (!first) os << ",";
+    first = false;
+    os << "\"" << cls << "\":" << rate;
   }
   os << "}}"
      << ",\"transfers\":{\"active\":" << tm_.in_flight()

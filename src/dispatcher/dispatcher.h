@@ -14,7 +14,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "discovery/collector.h"
@@ -111,11 +110,16 @@ class Dispatcher {
   // (Errc::busy) sheds. Monitoring ops never pass through here, so the
   // appliance stays observable while it sheds.
   std::optional<Error> admit(const protocol::NestRequest& req);
-  // Sample the rolling rate/load trackers at `now` (under load_mu_) and
-  // report {total MBps, load average}. Every stats surface calls this, so
-  // whichever of the publisher / /stats pollers runs keeps the windows
-  // warm.
-  std::pair<double, double> observe_load(Nanos now) const;
+  // One sample of the rolling rate/load trackers.
+  struct LoadView {
+    double mbps = 0.0;      // window-averaged total throughput
+    double load_avg = 0.0;  // EWMA of slot occupancy
+    std::map<std::string, double> class_mbps;  // per protocol class
+  };
+  // Sample every tracker once at `now` (under load_mu_). Every stats
+  // surface calls this, so whichever of the publisher / /stats pollers
+  // runs keeps the windows warm.
+  LoadView observe_load(Nanos now) const;
 
   Clock& clock_;
   storage::StorageManager& storage_;

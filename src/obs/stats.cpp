@@ -84,8 +84,6 @@ std::string Stats::to_json() const {
      << ",\"bytes_queued\":" << bytes_queued.load(std::memory_order_relaxed)
      << ",\"cache_hot\":" << cache_hot.load(std::memory_order_relaxed)
      << ",\"cache_cold\":" << cache_cold.load(std::memory_order_relaxed)
-     << ",\"admitted\":" << admitted.load(std::memory_order_relaxed)
-     << ",\"shed\":" << shed.load(std::memory_order_relaxed)
      << ",\"request_latency\":";
   histogram_json(os, request_all);
   os << ",\"request_latency_by_protocol\":{";
@@ -127,8 +125,6 @@ void Stats::reset() {
   bytes_queued.store(0, std::memory_order_relaxed);
   cache_hot.store(0, std::memory_order_relaxed);
   cache_cold.store(0, std::memory_order_relaxed);
-  admitted.store(0, std::memory_order_relaxed);
-  shed.store(0, std::memory_order_relaxed);
   hsm_migrations.store(0, std::memory_order_relaxed);
   hsm_recalls.store(0, std::memory_order_relaxed);
   hsm_recall_joins.store(0, std::memory_order_relaxed);

@@ -80,10 +80,6 @@ class Stats {
   // Cache-aware admission split: requests predicted resident vs not.
   std::atomic<std::int64_t> cache_hot{0};
   std::atomic<std::int64_t> cache_cold{0};
-  // Admission control: transfers admitted vs shed with `busy` (all shed
-  // reasons; the controller's snapshot breaks them down).
-  std::atomic<std::int64_t> admitted{0};
-  std::atomic<std::int64_t> shed{0};
 
   // --- journal ---
   Histogram journal_fsync_wait;  // barrier wait per durable metadata op

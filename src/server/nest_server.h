@@ -43,8 +43,8 @@ struct NestServerOptions {
   std::string root_dir;
   std::int64_t capacity = 1'000'000'000;
   storage::StorageOptions storage;
-  // The server reads only `scheduler`, the cache-model sizing and the
-  // latency-sample bound from this; the concurrency-model fields are sim-only.
+  // The server reads only `scheduler` and the cache-model sizing from
+  // this; the concurrency-model fields are sim-only.
   transfer::TransferManager::Options tm;
   int transfer_slots = 8;
   // Overload admission control (admission_target_ms / admission_max_queue

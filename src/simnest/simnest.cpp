@@ -181,6 +181,7 @@ Nanos SimNest::model_setup_cost(ConcurrencyModel model) const {
 
 void SimNest::report_completion(ConcurrencyModel model, Nanos latency,
                                 std::int64_t bytes) {
+  latencies_.push_back(latency);
   if (tm_.options().adapt.metric == transfer::AdaptMetric::latency) {
     tm_.report_model(model, static_cast<double>(latency));
   } else {
@@ -188,6 +189,15 @@ void SimNest::report_completion(ConcurrencyModel model, Nanos latency,
     tm_.report_model(model,
                      secs > 0 ? static_cast<double>(bytes) / secs : 0.0);
   }
+}
+
+double SimNest::latency_percentile_ms(double p) const {
+  if (latencies_.empty()) return 0.0;
+  std::vector<Nanos> sorted = latencies_;
+  const auto idx = static_cast<std::size_t>(
+      p / 100.0 * static_cast<double>(sorted.size() - 1));
+  std::nth_element(sorted.begin(), sorted.begin() + idx, sorted.end());
+  return static_cast<double>(sorted[idx]) / 1e6;
 }
 
 Co<void> SimNest::serve_read_block(const ProtocolBehavior& proto,

@@ -25,6 +25,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/coro.h"
 #include "sim/sync.h"
@@ -98,6 +99,12 @@ class SimNest {
   // Whole-file store; bytes flow client -> server -> buffer cache/disk.
   sim::Co<bool> client_put(ProtocolBehavior proto, std::string path,
                            std::int64_t size, std::string user = {});
+
+  // Exact latency percentile (ms, p in [0,100]) over every client
+  // transfer completed so far: sample floor(p/100 * (n-1)) of the sorted
+  // latencies, 0 when none. Cold-tier migrate/recall streams are not
+  // client transfers and are not sampled.
+  double latency_percentile_ms(double p) const;
 
   transfer::TransferManager& tm() { return tm_; }
   transfer::TransferCore& core() { return core_; }
@@ -180,6 +187,9 @@ class SimNest {
   sim::Semaphore net_stage_;   // staged model: socket-I/O stage pool
   std::map<std::string, FileInfo> files_;
   std::uint64_t next_file_id_ = 1;
+  // Every client transfer's latency, for exact bench percentiles (the
+  // engine is single-threaded, so a plain vector is the whole recorder).
+  std::vector<Nanos> latencies_;
 
   // Cold tier: a second OS storage stack with tape-like costs. Files in
   // cold_files_ have their bytes there; a recall copies them back through

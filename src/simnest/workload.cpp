@@ -47,19 +47,19 @@ WorkloadResult run_get_workload(sim::Engine& eng, const WorkloadSpec& spec) {
   std::set<SimNest*> servers;
   for (const ClientGroup& g : spec.groups) servers.insert(g.server);
 
-  // Bandwidth is measured from the transfer managers' byte meters — the
-  // same accounting the appliance itself exports — snapshotted at the
-  // window edges so partially-complete transfers count.
+  // Bandwidth is measured from the transfer cores' per-class byte counts
+  // — the same accounting the appliance itself exports — snapshotted at
+  // the window edges so partially-complete transfers count.
   auto start_snap = std::make_shared<std::map<SimNest*, ClassBytes>>();
   auto end_snap = std::make_shared<std::map<SimNest*, ClassBytes>>();
   eng.schedule_at(start, [start_snap, servers] {
     for (SimNest* s : servers) {
-      (*start_snap)[s] = s->tm().meter().per_class();
+      (*start_snap)[s] = s->core().class_bytes();
     }
   });
   eng.schedule_at(deadline, [end_snap, servers] {
     for (SimNest* s : servers) {
-      (*end_snap)[s] = s->tm().meter().per_class();
+      (*end_snap)[s] = s->core().class_bytes();
     }
   });
 

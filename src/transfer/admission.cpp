@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/stats.h"
-
 namespace nest::transfer {
 
 double AdmissionController::rate_per_ns_locked(Nanos now) const {
@@ -62,9 +60,6 @@ AdmissionController::Verdict AdmissionController::admit(
     }
     if (v == Verdict::admitted) ++admitted_;
   }
-  auto& stats = obs::Stats::global();
-  (v == Verdict::admitted ? stats.admitted : stats.shed)
-      .fetch_add(1, std::memory_order_relaxed);
   return v;
 }
 

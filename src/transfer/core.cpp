@@ -62,6 +62,7 @@ TransferRequest* TransferCore::create_request(const std::string& protocol,
     MutexLock reg(reg_mu_);
     MutexLock cache(cache_mu_);
     r = tm_.create_request(protocol, dir, path, size, user);
+    r->class_bytes = &class_bytes_.try_emplace(protocol, 0).first->second;
   }
   auto& stats = obs::Stats::global();
   (r->cached_fraction >= 0.99 ? stats.cache_hot : stats.cache_cold)
@@ -86,7 +87,8 @@ void TransferCore::charge(TransferRequest* r, std::int64_t bytes) {
     }
   }
   r->done += bytes;  // owner-thread field
-  tm_.account_bytes(r->protocol, bytes);
+  r->class_bytes->fetch_add(bytes, std::memory_order_relaxed);
+  tm_.account_bytes(bytes);
   {
     MutexLock lock(cache_mu_);
     tm_.cache_model().observe_access(r->path, r->done - bytes, bytes);
@@ -118,6 +120,15 @@ void TransferCore::complete(TransferRequest* r) {
   }
   MutexLock reg(reg_mu_);
   tm_.complete(r);
+}
+
+std::map<std::string, std::int64_t> TransferCore::class_bytes() const {
+  std::map<std::string, std::int64_t> out;
+  MutexLock reg(reg_mu_);
+  for (const auto& [cls, bytes] : class_bytes_) {
+    out.emplace(cls, bytes.load(std::memory_order_relaxed));
+  }
+  return out;
 }
 
 void TransferCore::submit(TransferRequest* r) {

@@ -19,8 +19,8 @@
 //     the TransferManager directly.
 //
 // Hot-path locking (full hierarchy in docs/transfer-core.md):
-//   charge()  — never blocks on the scheduler lock: atomic byte counters,
-//               striped meter, the cache-model lock, and a shard push.
+//   charge()  — never blocks on the scheduler lock: relaxed atomic byte
+//               counters, the cache-model lock, and a shard push.
 //   acquire() — shard push + a pump attempt; blocks only on its own grant
 //               word when no slot is free.
 //   release() — atomic slot increment + a pump attempt.
@@ -31,6 +31,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -48,15 +49,19 @@ class TransferCore {
   TransferRequest* create_request(const std::string& protocol, Direction dir,
                                   const std::string& path, std::int64_t size,
                                   const std::string& user = {});
-  // Account `bytes` moved for `r`. Byte/meter accounting is immediate and
+  // Account `bytes` moved for `r`. Byte accounting is immediate and
   // lock-free; the scheduler charge is deferred to the shard and applied
   // before the next grant decision (callers charge before releasing their
   // slot, so proportional-share passes are never stale at the next pick).
   void charge(TransferRequest* r, std::int64_t bytes);
-  // Retires `r` (latency accounting + registry erase). Flushes any of the
+  // Retires `r` (completion count + registry erase). Flushes any of the
   // request's still-pending shard operations first, so the scheduler never
   // sees a dangling request pointer.
   void complete(TransferRequest* r);
+
+  // Bytes charged so far per protocol class (every class this core has
+  // created a request for). Exact: each count is updated at charge time.
+  std::map<std::string, std::int64_t> class_bytes() const;
 
   // --- admission, real mode (blocking) ---
   // Submit `r` and block the calling thread until the scheduler grants it
@@ -124,8 +129,13 @@ class TransferCore {
   std::atomic<std::int64_t> pump_pending_{0};
   // Scheduler + drain (single writer).
   Mutex sched_mu_{lockrank::Rank::transfer_sched, "transfer.sched"};
-  // Request registry (create/complete).
-  Mutex reg_mu_{lockrank::Rank::transfer_registry, "transfer.registry"};
+  // Request registry (create/complete) and the class-counter map.
+  mutable Mutex reg_mu_{lockrank::Rank::transfer_registry,
+                        "transfer.registry"};
+  // Insert-only: nodes never move or die, so requests keep a pointer to
+  // their class's counter and charge through it without this lock.
+  std::map<std::string, std::atomic<std::int64_t>> class_bytes_
+      GUARDED_BY(reg_mu_);
   // Gray-box cache model (create/charge).
   Mutex cache_mu_{lockrank::Rank::transfer_cache, "transfer.cache"};
   std::vector<Op> drain_buf_ GUARDED_BY(sched_mu_);

@@ -2,6 +2,7 @@
 // (real thread-per-connection server and discrete-event simulator).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -33,6 +34,10 @@ struct TransferRequest {
   // Global submission-order stamp: TransferCore's sharded submission
   // queues are merged back into scheduler arrival order by this number.
   std::uint64_t submit_seq = 0;
+  // This request's protocol-class byte counter, resolved once by
+  // TransferCore::create_request; charge() adds to it with no lock and no
+  // lookup. It points into an insert-only map, so it never dangles.
+  std::atomic<std::int64_t>* class_bytes = nullptr;
   // Real-mode slot-grant word (1 = slot granted). Accessed only through
   // std::atomic_ref: the owning connection thread resets it before each
   // submission and blocks on it; the granting pump stores 1 and notifies.

@@ -9,8 +9,7 @@ TransferManager::TransferManager(Clock& clock, Options options)
       options_(options),
       scheduler_(make_scheduler(options.scheduler, clock)),
       selector_(options.adapt),
-      cache_model_(options.cache_model_bytes, options.cache_model_page),
-      latencies_(options.latency_samples_per_stripe) {
+      cache_model_(options.cache_model_bytes, options.cache_model_page) {
   assert(scheduler_ != nullptr && "unknown scheduler kind");
 }
 
@@ -41,13 +40,12 @@ Nanos TransferManager::hold_until() const {
 
 void TransferManager::charge(TransferRequest* r, std::int64_t bytes) {
   r->done += bytes;
-  account_bytes(r->protocol, bytes);
+  account_bytes(bytes);
   scheduler_->charge(r, bytes);
   cache_model_.observe_access(r->path, r->done - bytes, bytes);
 }
 
 void TransferManager::complete(TransferRequest* r) {
-  latencies_.record(clock_.now() - r->arrival);
   completed_.fetch_add(1, std::memory_order_relaxed);
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
   requests_.erase(r->id);

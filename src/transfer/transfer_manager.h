@@ -26,7 +26,6 @@
 #include <string>
 
 #include "common/clock.h"
-#include "common/metrics.h"
 #include "common/result.h"
 #include "transfer/cache_model.h"
 #include "transfer/concurrency.h"
@@ -47,11 +46,6 @@ class TransferManager {
     // Gray-box cache model sizing (estimate of the kernel cache).
     std::int64_t cache_model_bytes = 64LL * 1024 * 1024;
     std::int64_t cache_model_page = 8 * 1024;
-    // Latency samples retained per recorder stripe for percentile
-    // queries (0 = retain everything). Bounded by default so the
-    // monitoring surfaces (discovery ads, /stats) stay O(1) amortized
-    // under unbounded request churn; mean/count stay exact regardless.
-    std::size_t latency_samples_per_stripe = 4096;
   };
 
   TransferManager(Clock& clock, Options options);
@@ -64,7 +58,7 @@ class TransferManager {
   TransferRequest* next() { return scheduler_->next(); }
   // Non-work-conserving hold hint (0 = none).
   Nanos hold_until() const;
-  // Account bytes moved; feeds the scheduler, bandwidth meter, and the
+  // Account bytes moved; feeds the scheduler, the byte total, and the
   // gray-box cache model.
   void charge(TransferRequest* r, std::int64_t bytes);
   void complete(TransferRequest* r);
@@ -73,13 +67,12 @@ class TransferManager {
     return in_flight_.load(std::memory_order_relaxed);
   }
 
-  // Granular piece of charge(): byte accounting only (atomic total +
-  // striped meter; no scheduler or cache-model touch). TransferCore calls
-  // this lock-free on the hot path and applies the scheduler charge and
-  // cache observation under its own locks.
-  void account_bytes(const std::string& cls, std::int64_t bytes) {
+  // Granular piece of charge(): the atomic byte total only (no scheduler
+  // or cache-model touch). TransferCore calls this lock-free on the hot
+  // path and applies the scheduler charge and cache observation under its
+  // own locks.
+  void account_bytes(std::int64_t bytes) {
     total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    meter_.add(cls, bytes);
   }
 
   // --- concurrency model selection (single-threaded; sim only) ---
@@ -94,8 +87,6 @@ class TransferManager {
   CacheModel& cache_model() { return cache_model_; }
 
   // --- accounting ---
-  BandwidthMeter& meter() { return meter_; }
-  LatencyRecorder& latencies() { return latencies_; }
   std::int64_t total_bytes() const {
     return total_bytes_.load(std::memory_order_relaxed);
   }
@@ -114,8 +105,6 @@ class TransferManager {
   CacheModel cache_model_;
   std::map<std::uint64_t, std::unique_ptr<TransferRequest>> requests_;
   std::uint64_t next_id_ = 1;
-  BandwidthMeter meter_;
-  LatencyRecorder latencies_;
   std::atomic<std::int64_t> total_bytes_{0};
   std::atomic<std::int64_t> completed_{0};
   std::atomic<std::size_t> in_flight_{0};

@@ -154,24 +154,5 @@ TEST(Metrics, JainFairnessMatchesPaperBallpark) {
   EXPECT_LT(f, 1.0);
 }
 
-TEST(Metrics, LatencyRecorder) {
-  LatencyRecorder r;
-  for (int i = 1; i <= 100; ++i) r.record(i * kMillisecond);
-  EXPECT_EQ(r.count(), 100u);
-  EXPECT_NEAR(r.mean_ms(), 50.5, 1e-9);
-  EXPECT_NEAR(r.percentile_ms(0), 1.0, 1e-9);
-  EXPECT_NEAR(r.percentile_ms(100), 100.0, 1e-9);
-}
-
-TEST(Metrics, BandwidthMeter) {
-  BandwidthMeter m;
-  m.add("chirp", 10 * kMB);
-  m.add("nfs", 5 * kMB);
-  m.set_window(0, kSecond);
-  EXPECT_DOUBLE_EQ(m.total_mbps(), 15.0);
-  EXPECT_DOUBLE_EQ(m.class_mbps("chirp"), 10.0);
-  EXPECT_DOUBLE_EQ(m.class_mbps("absent"), 0.0);
-}
-
 }  // namespace
 }  // namespace nest

@@ -14,18 +14,26 @@
 // control client, so the comparison is independent of the driver.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
+#include <cstring>
+#include <filesystem>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/chirp_client.h"
 #include "client/ftp_client.h"
 #include "client/http_client.h"
 #include "client/nfs_client.h"
+#include "common/string_util.h"
+#include "net/socket.h"
 #include "server/nest_server.h"
 
 namespace nest {
@@ -618,6 +626,215 @@ TEST_F(ConformanceSmallServerTest, LotExhaustionIsNoSpace) {
   auto over = c->put("/overlot", std::string(25'000, 'l'));
   ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.code(), Errc::no_space);
+}
+
+// ---------- Bulk mix: four wires moving data at once ----------
+//
+// Chirp GET, HTTP keep-alive GET, NFS READ in 8 KiB RPCs, and GridFTP
+// STOR-then-RETR run concurrently for about 2 s against one server, so
+// every block goes through the shared TransferCore's create / charge /
+// complete path from four threads. The local backend makes the GETs take
+// the sendfile path (MemFs lends no fd), and the journal is live. Every
+// byte is compared, the per-class byte counts must account for exactly
+// the bytes the clients moved, and the server must then stop cleanly.
+
+// Deterministic bytes (splitmix64), distinct per seed. Unlike the
+// 256-byte-periodic conf_payload(), a block delivered at the wrong
+// offset cannot compare equal.
+std::string seeded_payload(std::size_t n, std::uint64_t seed) {
+  std::string out(n, '\0');
+  std::uint64_t x = seed;
+  for (std::size_t i = 0; i < n; i += 8) {
+    x += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= z >> 31;
+    std::memcpy(out.data() + i, &z, std::min<std::size_t>(8, n - i));
+  }
+  return out;
+}
+
+class ConformanceBulkMixTest : public ::testing::Test {
+ protected:
+  // Not a multiple of any block size, so every wire moves a short tail.
+  static constexpr std::size_t kBytes = (1u << 20) + 4321;
+
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("nest_bulkmix_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_ / "root");
+    server::NestServerOptions o;
+    o.backend = "local";
+    o.root_dir = (dir_ / "root").string();
+    o.journal_dir = (dir_ / "journal").string();
+    o.capacity = 200'000'000;
+    auto s = server::NestServer::start(std::move(o));
+    ASSERT_TRUE(s.ok()) << s.error().to_string();
+    server_ = std::move(*s);
+    server_->gsi().add_user("alice", "s");
+  }
+  void TearDown() override {
+    if (server_) server_->stop();
+    std::filesystem::remove_all(dir_);
+  }
+
+  std::filesystem::path dir_;
+  std::unique_ptr<server::NestServer> server_;
+};
+
+// One client thread's tally: ops completed and the first failure.
+struct MixTally {
+  std::int64_t ops = 0;
+  std::string error;
+};
+
+TEST_F(ConformanceBulkMixTest, FourWiresMoveEveryByteExactly) {
+  const std::string payload = seeded_payload(kBytes, 1);
+  {
+    auto ctrl = ChirpClient::connect("127.0.0.1", server_->chirp_port(),
+                                     "alice", "s");
+    ASSERT_TRUE(ctrl.ok()) << ctrl.error().to_string();
+    ASSERT_TRUE(ctrl->mkdir("/mix").ok());
+    ASSERT_TRUE(ctrl->put("/mix/bulk.bin", payload).ok());
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  const auto until_deadline = [&deadline](MixTally& t, auto&& op) {
+    do {
+      if (std::string err = op(t.ops); !err.empty()) {
+        t.error = err;
+        return;
+      }
+      ++t.ops;
+    } while (std::chrono::steady_clock::now() < deadline);
+  };
+  MixTally chirp, http, nfs, gridftp;
+  std::vector<std::thread> clients;
+
+  clients.emplace_back([&] {
+    auto c = ChirpClient::connect("127.0.0.1", server_->chirp_port());
+    if (!c.ok()) {
+      chirp.error = "connect: " + c.error().to_string();
+      return;
+    }
+    until_deadline(chirp, [&](std::int64_t) -> std::string {
+      auto got = c->get("/mix/bulk.bin");
+      if (!got.ok()) return got.error().to_string();
+      return *got == payload ? "" : "payload mismatch";
+    });
+  });
+
+  clients.emplace_back([&] {
+    auto c = net::TcpStream::connect("127.0.0.1", server_->http_port());
+    if (!c.ok() || !c->set_read_timeout(30'000).ok()) {
+      http.error = "connect";
+      return;
+    }
+    const std::string request =
+        "GET /mix/bulk.bin HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        "Connection: keep-alive\r\n\r\n";
+    std::string body(kBytes, '\0');
+    until_deadline(http, [&](std::int64_t) -> std::string {
+      if (!c->write_all(request).ok()) return "request write";
+      auto status = c->read_line();
+      if (!status.ok()) return status.error().to_string();
+      if (status->find(" 200 ") == std::string::npos) return *status;
+      std::int64_t length = -1;
+      bool keep_alive = false;
+      while (true) {
+        auto h = c->read_line();
+        if (!h.ok()) return h.error().to_string();
+        if (h->empty()) break;
+        const std::string line = to_lower(*h);
+        if (line.rfind("content-length:", 0) == 0) {
+          length = parse_int(trim(line.substr(15))).value_or(-1);
+        } else if (line.rfind("connection:", 0) == 0) {
+          keep_alive = trim(line.substr(11)) == "keep-alive";
+        }
+      }
+      if (!keep_alive) return "server dropped keep-alive";
+      if (length != static_cast<std::int64_t>(kBytes)) return "length";
+      if (!c->read_exact(std::span(body.data(), body.size())).ok())
+        return "body read";
+      return body == payload ? "" : "payload mismatch";
+    });
+  });
+
+  clients.emplace_back([&] {
+    auto c = NfsClient::connect("127.0.0.1", server_->nfs_port());
+    if (!c.ok()) {
+      nfs.error = "connect";
+      return;
+    }
+    auto root = c->mount("/");
+    if (!root.ok()) {
+      nfs.error = "mount: " + root.error().to_string();
+      return;
+    }
+    auto dir = c->lookup(*root, "mix");
+    auto file = dir.ok() ? c->lookup(dir->first, "bulk.bin") : dir;
+    if (!file.ok()) {
+      nfs.error = "lookup: " + file.error().to_string();
+      return;
+    }
+    const NfsClient::Fh fh = file->first;
+    until_deadline(nfs, [&](std::int64_t) -> std::string {
+      std::string got;
+      while (got.size() < kBytes) {
+        auto chunk = c->read(fh, static_cast<std::int64_t>(got.size()),
+                             protocol::kNfsBlockSize);
+        if (!chunk.ok()) return chunk.error().to_string();
+        if (chunk->empty()) return "short read";
+        got += *chunk;
+      }
+      return got == payload ? "" : "payload mismatch";
+    });
+  });
+
+  clients.emplace_back([&] {
+    auto c = FtpClient::connect("127.0.0.1", server_->gridftp_port(),
+                                FtpClient::GsiIdentity{"alice", "s"});
+    if (!c.ok()) {
+      gridftp.error = "connect: " + c.error().to_string();
+      return;
+    }
+    until_deadline(gridftp, [&](std::int64_t i) -> std::string {
+      const std::string data =
+          seeded_payload(kBytes, 100 + static_cast<std::uint64_t>(i));
+      const std::string path = "/mix/stor-" + std::to_string(i) + ".bin";
+      if (auto st = c->stor(path, data); !st.ok())
+        return "stor: " + st.error().to_string();
+      auto got = c->retr(path);
+      if (!got.ok()) return "retr: " + got.error().to_string();
+      if (*got != data) return "payload mismatch";
+      // Keep the disk footprint flat however many rounds fit.
+      if (auto st = c->dele(path); !st.ok())
+        return "dele: " + st.error().to_string();
+      return "";
+    });
+  });
+
+  for (std::thread& t : clients) t.join();
+  for (const auto& [name, t] :
+       {std::pair{"chirp", &chirp}, std::pair{"http", &http},
+        std::pair{"nfs", &nfs}, std::pair{"gridftp", &gridftp}}) {
+    EXPECT_EQ(t->error, "") << name << " failed after " << t->ops << " ops";
+    EXPECT_GT(t->ops, 0) << name;
+  }
+  // Per-class accounting saw exactly the bytes the clients moved (the
+  // setup PUT rode Chirp; each GridFTP round is a STOR plus a RETR).
+  const auto n = static_cast<std::int64_t>(kBytes);
+  const std::map<std::string, std::int64_t> expect = {
+      {"chirp", (chirp.ops + 1) * n},
+      {"http", http.ops * n},
+      {"nfs", nfs.ops * n},
+      {"gridftp", 2 * gridftp.ops * n}};
+  EXPECT_EQ(server_->dispatcher().core().class_bytes(), expect);
+  EXPECT_EQ(server_->tm().in_flight(), 0u);
+  server_->stop();
+  server_.reset();
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // one policy engine, many protocols — on actual sockets.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 
+#include "churn_footprint.h"
 #include "client/chirp_client.h"
 #include "common/string_util.h"
 #include "client/ftp_client.h"
@@ -23,33 +23,6 @@ using client::HttpClient;
 using client::NfsClient;
 using server::NestServer;
 using server::NestServerOptions;
-
-// Mappings and virtual size of this process: the two numbers every exited
-// but unjoined connection thread inflates (its stack stays mapped).
-struct VmFootprint {
-  long maps = 0;
-  long vm_kb = 0;
-};
-VmFootprint vm_footprint() {
-  VmFootprint out;
-  std::ifstream maps("/proc/self/maps");
-  for (std::string line; std::getline(maps, line);) ++out.maps;
-  std::ifstream status("/proc/self/status");
-  for (std::string line; std::getline(status, line);) {
-    if (line.rfind("VmSize:", 0) == 0) out.vm_kb = std::stol(line.substr(7));
-  }
-  return out;
-}
-
-// `n` of the cheapest complete connections: connect, read the banner,
-// close.
-void churn(uint16_t port, int n) {
-  for (int i = 0; i < n; ++i) {
-    auto s = net::TcpStream::connect("127.0.0.1", port);
-    ASSERT_TRUE(s.ok()) << "connection " << i << ": " << s.error().to_string();
-    ASSERT_TRUE(s->read_line().ok()) << "connection " << i;
-  }
-}
 
 class IntegrationTest : public ::testing::Test {
  protected:
@@ -608,7 +581,7 @@ TEST_F(IntegrationTest, TransferManagerSeesAllProtocols) {
   (void)http.get("/meter.bin");
   auto ftp = FtpClient::connect("127.0.0.1", server_->ftp_port());
   (void)ftp->retr("/meter.bin");
-  const auto& per_class = server_->tm().meter().per_class();
+  const auto per_class = server_->dispatcher().core().class_bytes();
   EXPECT_GT(per_class.at("chirp"), 0);
   EXPECT_GT(per_class.at("http"), 0);
   EXPECT_GT(per_class.at("ftp"), 0);

@@ -3,46 +3,18 @@
 // policy engine.
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <string>
 
+#include "churn_footprint.h"
 #include "client/chirp_client.h"
 #include "client/ftp_client.h"
 #include "client/http_client.h"
 #include "common/clock.h"
 #include "jbos/jbos.h"
-#include "net/socket.h"
 #include "storage/memfs.h"
 
 namespace nest {
 namespace {
-
-// Mappings and virtual size of this process: the two numbers every exited
-// but unjoined connection thread inflates (its stack stays mapped).
-struct VmFootprint {
-  long maps = 0;
-  long vm_kb = 0;
-};
-VmFootprint vm_footprint() {
-  VmFootprint out;
-  std::ifstream maps("/proc/self/maps");
-  for (std::string line; std::getline(maps, line);) ++out.maps;
-  std::ifstream status("/proc/self/status");
-  for (std::string line; std::getline(status, line);) {
-    if (line.rfind("VmSize:", 0) == 0) out.vm_kb = std::stol(line.substr(7));
-  }
-  return out;
-}
-
-// `n` of the cheapest complete connections: connect, read the banner,
-// close.
-void churn(uint16_t port, int n) {
-  for (int i = 0; i < n; ++i) {
-    auto s = net::TcpStream::connect("127.0.0.1", port);
-    ASSERT_TRUE(s.ok()) << "connection " << i << ": " << s.error().to_string();
-    ASSERT_TRUE(s->read_line().ok()) << "connection " << i;
-  }
-}
 
 class JbosTest : public ::testing::Test {
  protected:

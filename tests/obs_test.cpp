@@ -420,6 +420,9 @@ TEST_F(ObsServerTest, StatsSurfacesAgree) {
   EXPECT_TRUE(ad.eval_int("BytesQueued").has_value());
   EXPECT_TRUE(ad.eval_int("Requests").has_value());
   EXPECT_GT(ad.eval_int("Requests").value_or(0), 0);
+  // The mean of the transfer_latency histogram, which holds the PUT and
+  // GET above.
+  EXPECT_GT(ad.eval_real("MeanTransferMs").value_or(0), 0.0);
 }
 
 }  // namespace

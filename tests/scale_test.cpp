@@ -277,7 +277,7 @@ OverloadResult run_overload(transfer::AdmissionOptions admission,
 
   OverloadResult out;
   out.gen = gen.stats();
-  out.p99_ms = server.tm().latencies().percentile_ms(99);
+  out.p99_ms = server.latency_percentile_ms(99);
   out.admission = server.admission().snapshot();
   return out;
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "sim/engine.h"
 #include "sim/platform.h"
 #include "simnest/protocol_model.h"
@@ -81,6 +85,60 @@ TEST(SimNest, NfsSlowerThanChirpForSameFile) {
   const double gftp = run_proto(ProtocolBehavior::gridftp());
   EXPECT_GT(chirp, 1.6 * nfs);   // paper Fig 3: NFS at roughly half
   EXPECT_GT(chirp, 1.4 * gftp);  // and GridFTP too
+}
+
+// Bench percentiles cover every completion, not a recent window. One
+// client issues 5,000 GETs in sequence: 60 cold 1 MB reads first (the
+// slowest 1%, more than that so the p99 rank lands among them), then
+// 4,940 cached 4 KiB reads. A recorder that kept only the latest 4,096
+// samples would see no cold read at all.
+TEST(SimNest, LatencyPercentileCoversEveryCompletion) {
+  Engine eng;
+  SimHost host(eng, PlatformProfile::linux2_2());
+  SimNestConfig cfg;
+  cfg.tm.adaptive = false;
+  SimNest server(host, cfg);
+  constexpr int kCold = 60;
+  constexpr int kHot = 4'940;
+  for (int i = 0; i < kCold; ++i) {
+    server.add_file("/cold" + std::to_string(i), 1'000'000, /*cached=*/false);
+  }
+  server.add_file("/hot", 4096, /*cached=*/true);
+  // With no connect round trips, a GET's client-side time is one
+  // request round trip on the idle link plus the server-side latency.
+  ProtocolBehavior proto = ProtocolBehavior::chirp();
+  proto.connect_rtts = 0;
+  Nanos rtt = 0;
+  std::vector<Nanos> seen;
+  sim::spawn([](Engine& e, SimNest& s, ProtocolBehavior p, Nanos& rtt_out,
+                std::vector<Nanos>& out) -> Co<void> {
+    Nanos t0 = e.now();
+    co_await s.host().link().round_trip(256);
+    rtt_out = e.now() - t0;
+    for (int i = 0; i < kCold + kHot; ++i) {
+      const std::string path =
+          i < kCold ? "/cold" + std::to_string(i) : "/hot";
+      t0 = e.now();
+      co_await s.client_get(p, path);
+      out.push_back(e.now() - t0 - rtt_out);
+    }
+  }(eng, server, proto, rtt, seen));
+  eng.run();
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kCold + kHot));
+  ASSERT_GT(rtt, 0);
+
+  std::sort(seen.begin(), seen.end());
+  const auto rank = [&](double p) {
+    return static_cast<double>(seen[static_cast<std::size_t>(
+               p / 100.0 * static_cast<double>(seen.size() - 1))]) /
+           1e6;
+  };
+  EXPECT_DOUBLE_EQ(server.latency_percentile_ms(99), rank(99));
+  EXPECT_DOUBLE_EQ(server.latency_percentile_ms(50), rank(50));
+  EXPECT_DOUBLE_EQ(server.latency_percentile_ms(0), rank(0));
+  // The p99 is a cold read, far slower than the cached median.
+  EXPECT_GT(server.latency_percentile_ms(99),
+            10 * server.latency_percentile_ms(50));
 }
 
 TEST(SimNest, PutLandsInStore) {

@@ -2,7 +2,7 @@
 // (labelled `concurrency` in CTest; the tier-1 script also runs them under
 // ThreadSanitizer via the `tsan` CMake preset).
 //
-// The properties under test are the ones the sharded submission / striped
+// The properties under test are the ones the sharded submission / atomic
 // accounting design must preserve:
 //   * conservation: every charged byte and every completed request is
 //     counted exactly once, no matter how many threads charge at once;
@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,16 +75,13 @@ void run_stress(const std::string& scheduler, int slots, int threads,
   EXPECT_EQ(tm.completed_requests(), total_requests);
   EXPECT_EQ(tm.in_flight(), 0u);
   EXPECT_EQ(core.free_slots(), slots);  // every grant was paired
-  EXPECT_EQ(tm.meter().total_bytes(), total_bytes);
-  // Per-class striped counters add up to the total too.
-  std::int64_t per_class_sum = 0;
-  for (const auto& [cls, bytes] : tm.meter().per_class()) {
-    (void)cls;
-    per_class_sum += bytes;
+  // Every class's atomic counter is exact too.
+  std::map<std::string, std::int64_t> per_class;
+  for (int t = 0; t < threads; ++t) {
+    per_class[protocols[static_cast<std::size_t>(t) % protocols.size()]] +=
+        std::int64_t{requests_per_thread} * blocks_per_request * kBlockBytes;
   }
-  EXPECT_EQ(per_class_sum, total_bytes);
-  EXPECT_EQ(tm.latencies().count(),
-            static_cast<std::size_t>(total_requests));
+  EXPECT_EQ(core.class_bytes(), per_class);
 }
 
 TEST(TransferCoreStress, ConservationFifo) {
@@ -124,8 +122,7 @@ TEST(TransferCoreStress, MonitoringReadsDuringTraffic) {
       (void)tm.in_flight();
       (void)tm.total_bytes();
       (void)tm.completed_requests();
-      (void)tm.latencies().mean_ms();
-      (void)tm.meter().per_class();
+      (void)core.class_bytes();
     }
   });
   std::vector<std::thread> workers;
@@ -145,6 +142,7 @@ TEST(TransferCoreStress, MonitoringReadsDuringTraffic) {
   stop.store(true);
   monitor.join();
   EXPECT_EQ(tm.total_bytes(), 4 * 200 * 1000);
+  EXPECT_EQ(core.class_bytes().at("chirp"), 4 * 200 * 1000);
   EXPECT_EQ(tm.in_flight(), 0u);
 }
 

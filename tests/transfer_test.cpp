@@ -466,12 +466,10 @@ TEST(TransferManager, LifecycleAndAccounting) {
   tm.enqueue(r);
   EXPECT_EQ(tm.next(), r);
   tm.charge(r, 1000);
-  clock.advance(5 * kMillisecond);
   tm.complete(r);
   EXPECT_EQ(tm.total_bytes(), 1000);
   EXPECT_EQ(tm.completed_requests(), 1);
   EXPECT_TRUE(tm.idle());
-  EXPECT_NEAR(tm.latencies().mean_ms(), 5.0, 1e-9);
 }
 
 TEST(TransferManager, ChargeFeedsCacheModel) {
