@@ -8,12 +8,14 @@
 # Defaults: build-dir=build, out-dir=., benches=fig3_multiprotocol
 # fig4_proportional fig5_adaptive fig6_lot_overhead abl_adapt_period
 # abl_staged abl_journal_commit abl_wire_speed abl_replication abl_scale
-# abl_hsm. Any machine-readable
+# abl_hsm abl_nonwork_conserving abl_cache_aware abl_user_share
+# abl_staging. Any machine-readable
 # JSONL rows a bench prints are lifted into the "rows" array; the full
-# stdout/stderr transcript is preserved verbatim under "raw". The eight
+# stdout/stderr transcript is preserved verbatim under "raw". The twelve
 # deterministic sim transcripts (fig3-6, abl_adapt_period, abl_staged,
-# abl_scale, abl_hsm) are also regression tests: CTest label `figures`
-# (tests/check_figure.py).
+# abl_scale, abl_hsm, abl_nonwork_conserving, abl_cache_aware,
+# abl_user_share, abl_staging) are also regression tests: CTest label
+# `figures` (tests/check_figure.py).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -26,7 +28,8 @@ if [ "${#BENCHES[@]}" -eq 0 ]; then
   BENCHES=(fig3_multiprotocol fig4_proportional fig5_adaptive
            fig6_lot_overhead abl_adapt_period abl_staged
            abl_journal_commit abl_wire_speed abl_replication abl_scale
-           abl_hsm)
+           abl_hsm abl_nonwork_conserving abl_cache_aware abl_user_share
+           abl_staging)
 fi
 
 if [ ! -d "$BUILD_DIR" ]; then

@@ -104,10 +104,7 @@ const char* rank_name(Rank r) noexcept {
     case Rank::storage_file: return "storage_file";
     case Rank::cluster_ship: return "cluster_ship";
     case Rank::journal: return "journal";
-    case Rank::transfer_sched: return "transfer_sched";
-    case Rank::transfer_shard: return "transfer_shard";
-    case Rank::transfer_registry: return "transfer_registry";
-    case Rank::transfer_cache: return "transfer_cache";
+    case Rank::transfer_core: return "transfer_core";
     case Rank::obs_load: return "obs_load";
     case Rank::obs_rings: return "obs_rings";
     case Rank::obs_live: return "obs_live";

@@ -43,7 +43,6 @@ namespace nest::lockrank {
 //   hsm_state < storage_meta      (the recall executor election holds the
 //       in-flight table while consulting residency; storage calls under
 //       hsm_state are legal, the inverse is not)
-//   transfer_sched < transfer_shard   (drain empties shards under sched)
 //   dispatcher_load < obs_load    (observe_load samples trackers)
 //   fault_registry < fault_point  (fault-list reads specs per point)
 //   anything < logger             (leaf utility, used everywhere)
@@ -65,10 +64,7 @@ enum class Rank : int {
   storage_file = 34,         // MemFs per-file payload (shared)
   cluster_ship = 36,         // cluster replication ship queue + cursors
   journal = 38,              // journal::Journal append/commit state
-  transfer_sched = 42,       // TransferCore scheduler + drain
-  transfer_shard = 44,       // TransferCore per-class op shards
-  transfer_registry = 46,    // TransferCore request registry
-  transfer_cache = 48,       // TransferCore gray-box cache model
+  transfer_core = 42,        // TransferCore manager, slots, grants
   obs_load = 60,             // obs::RollingRate / obs::LoadAverage
   obs_rings = 62,            // TraceBuffer ring registry
   obs_live = 64,             // trace live-buffer id registry

@@ -395,6 +395,12 @@ Status UdpSocket::set_read_timeout(int millis) {
   return {};
 }
 
-void UdpSocket::close() { fd_.reset(); }
+void UdpSocket::close() {
+  // Like TcpListener::close(): shutdown() wakes a thread blocked in
+  // recv_from (it returns 0), and the descriptor lives until destruction
+  // so that reader never races an fd reset. On an unconnected socket
+  // shutdown() reports ENOTCONN but still marks it shut.
+  if (fd_.valid()) ::shutdown(fd_.get(), SHUT_RDWR);
+}
 
 }  // namespace nest::net

@@ -197,6 +197,8 @@ class UdpSocket {
                  uint16_t port);
   NEST_NODISCARD Status set_read_timeout(int millis);
   uint16_t port() const { return port_; }
+  // Wake any thread blocked in recv_from (it returns 0). The fd is
+  // released only at destruction; join the reader before destroying.
   void close();
 
  private:

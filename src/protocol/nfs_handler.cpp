@@ -12,6 +12,19 @@ namespace nest::protocol {
 
 using dispatcher::Reply;
 
+namespace {
+
+// The paper makes NFS anonymous (GSI is Chirp/GridFTP-only): every call
+// runs as the anonymous principal and the ACL layer governs what it may do.
+storage::Principal anonymous_nfs() {
+  storage::Principal p;
+  p.protocol = "nfs";
+  p.authenticated = false;
+  return p;
+}
+
+}  // namespace
+
 NfsStat errc_to_nfs(Errc code) noexcept {
   switch (code) {
     case Errc::ok: return NFS_OK;
@@ -43,14 +56,14 @@ Status NfsService::start() {
   if (!sock.ok()) return Status{sock.error()};
   socket_ = std::make_unique<net::UdpSocket>(std::move(sock.value()));
   port_ = socket_->port();
-  // Timeout setup is advisory: a socket without it still works.
-  (void)socket_->set_read_timeout(options_.idle_timeout_ms);
   worker_ = std::thread([this] { run(); });
   return {};
 }
 
 void NfsService::stop() {
   stopping_ = true;
+  // Shutting the socket down wakes a worker blocked in recv_from.
+  if (socket_) socket_->close();
   if (worker_.joinable()) worker_.join();
   socket_.reset();
 }
@@ -61,8 +74,8 @@ void NfsService::run() {
     std::string ip;
     uint16_t port = 0;
     auto n = socket_->recv_from(std::span(buf.data(), buf.size()), ip, port);
-    if (!n.ok()) continue;  // timeout poll or transient error
-    if (*n <= 0) continue;
+    if (!n.ok()) continue;  // transient error
+    if (*n <= 0) continue;  // empty datagram, or woken by stop()
     const std::vector<char> reply =
         handle(std::span<const char>(buf.data(), static_cast<std::size_t>(*n)));
     if (!reply.empty()) {
@@ -122,16 +135,6 @@ void NfsService::encode_fattr(xdr::Encoder& out, const std::string& path,
   }
 }
 
-storage::Principal NfsService::principal_for(const xdr::RpcCall& call) const {
-  storage::Principal p;
-  p.protocol = "nfs";
-  p.authenticated = false;  // paper: GSI only; NFS is anonymous
-  if (options_.trust_auth_unix && call.unix_uid) {
-    p.name = "uid" + std::to_string(*call.unix_uid);
-  }
-  return p;
-}
-
 std::vector<char> NfsService::handle(std::span<const char> datagram) {
   xdr::Decoder dec(datagram);
   auto call = xdr::decode_call(dec);
@@ -161,7 +164,7 @@ void NfsService::handle_mount(const xdr::RpcCall& call, xdr::Decoder& args,
       }
       xdr::encode_accepted_reply(out, call.xid, xdr::kAcceptSuccess);
       const std::string norm = normalize_path(*dirpath);
-      auto st = dispatcher_.storage().stat(principal_for(call), norm);
+      auto st = dispatcher_.storage().stat(anonymous_nfs(), norm);
       if (!st.ok() || !st->is_dir) {
         out.put_u32(st.ok() ? NFSERR_NOTDIR : errc_to_nfs(st.code()));
         return;
@@ -203,7 +206,7 @@ const char* nfs_proc_name(std::uint32_t proc) noexcept {
 void NfsService::handle_nfs(const xdr::RpcCall& call, xdr::Decoder& args,
                             xdr::Encoder& out) {
   obs::Span pspan(obs::Layer::protocol, nfs_proc_name(call.proc));
-  const storage::Principal who = principal_for(call);
+  const storage::Principal who = anonymous_nfs();
 
   auto fail = [&](NfsStat st) { out.put_u32(st); };
 

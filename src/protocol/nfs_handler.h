@@ -7,9 +7,8 @@
 //
 // Authentication: the paper permits only anonymous access for NFS (GSI is
 // Chirp/GridFTP-only), so requests run as the anonymous principal and the
-// ACL layer governs what that may do. AUTH_UNIX credentials are parsed and
-// may optionally be trusted (trust_auth_unix) to form a named — but still
-// unauthenticated-for-GSI-purposes — principal, mirroring classic NFS.
+// ACL layer governs what that may do. AUTH_UNIX credentials are parsed for
+// framing but never trusted.
 #pragma once
 
 #include <atomic>
@@ -76,8 +75,6 @@ class NfsService {
  public:
   struct Options {
     int port = 0;  // UDP; 0 = ephemeral
-    bool trust_auth_unix = false;
-    int idle_timeout_ms = 500;  // recv poll granularity for shutdown
   };
 
   NfsService(dispatcher::Dispatcher& dispatcher, TransferExecutor& executor,
@@ -103,8 +100,6 @@ class NfsService {
   void encode_fh(xdr::Encoder& out, std::uint64_t id);
   void encode_fattr(xdr::Encoder& out, const std::string& path,
                     const storage::FileStat& st);
-
-  storage::Principal principal_for(const xdr::RpcCall& call) const;
 
   dispatcher::Dispatcher& dispatcher_;
   TransferExecutor& executor_;

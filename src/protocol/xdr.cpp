@@ -118,9 +118,7 @@ Result<RpcCall> decode_call(Decoder& dec) {
     Decoder cred(std::span<const char>(cred_body->data(), cred_body->size()));
     (void)cred.get_u32();  // stamp
     auto machine = cred.get_string(256);
-    auto uid = cred.get_u32();
     if (machine.ok()) call.unix_machine = *machine;
-    if (uid.ok()) call.unix_uid = *uid;
   }
   // Verifier.
   auto verf_flavor = dec.get_u32();

@@ -80,8 +80,7 @@ struct RpcCall {
   std::uint32_t prog = 0;
   std::uint32_t vers = 0;
   std::uint32_t proc = 0;
-  // AUTH_UNIX credential contents when present.
-  std::optional<std::uint32_t> unix_uid;
+  // AUTH_UNIX machine name when present (the uid is never trusted).
   std::optional<std::string> unix_machine;
   // Argument bytes follow; decode continues from `args`.
 };

@@ -65,6 +65,12 @@ Result<std::unique_ptr<NestServer>> NestServer::start(
 }
 
 Status NestServer::init() {
+  // Real mode has no timer to end a non-work-conserving hold, so a held
+  // transfer would wait until an unrelated release happened to grant it.
+  if (options_.tm.scheduler == "stride-nwc") {
+    return Status{Errc::invalid_argument,
+                  "scheduler 'stride-nwc' is simulation-only"};
+  }
   // Startup fault drills: arm configured failpoints first so even backend
   // bring-up and journal recovery run under them.
   if (!options_.failpoints.empty()) {
@@ -273,9 +279,9 @@ Status NestServer::bind_endpoint(
   lopts.reuseport = shards > 1;
   auto listener = net::TcpListener::bind(static_cast<uint16_t>(port), lopts);
   if (!listener.ok()) return Status{listener.error()};
-  // Shard 0 resolves an ephemeral request to a concrete port; the other
-  // shards REUSEPORT-bind that same port and the kernel load-balances
-  // connections across all of their accept queues.
+  // The first listener resolves an ephemeral request to a concrete port;
+  // the other shards REUSEPORT-bind that same port and the kernel
+  // load-balances connections across all of their accept queues.
   *out_port = listener->port();
   std::shared_ptr<ProtocolHandler> shared(std::move(handler));
   Endpoint ep;
@@ -314,7 +320,7 @@ void NestServer::accept_loop(net::TcpListener* listener,
     }
     backoff.reset();
     // Timeout setup is advisory: a stream without it still works.
-    (void)stream->set_read_timeout(options_.idle_timeout_ms);
+    (void)stream->set_read_timeout(options_.conn_read_timeout_ms);
     std::vector<std::thread> ended;
     {
       MutexLock lock(conn_mu_);

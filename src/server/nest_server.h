@@ -99,8 +99,8 @@ struct NestServerOptions {
   int gridftp_port = 0;
   int nfs_port = 0;  // UDP
 
-  // Idle-connection read timeout, ms (bounds shutdown latency).
-  int idle_timeout_ms = 30'000;
+  // Per-connection read timeout, ms: a client silent this long is dropped.
+  int conn_read_timeout_ms = 30'000;
 
   // Metadata journal directory; empty = no journal (lot/ACL/quota state
   // dies with the process). With a journal, recovery runs before any

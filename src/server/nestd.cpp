@@ -9,7 +9,8 @@
 //   name        = nest@host
 //   chirp_port  = 9094     http_port = 9080   ftp_port = 9021
 //   gridftp_port= 9811     nfs_port  = 9049   (-1 disables any of them)
-//   scheduler   = fifo | stride | stride-nwc | stride-user | cache-aware
+//   scheduler   = fifo | stride | stride-user | cache-aware
+//                 (stride-nwc is simulation-only and refused here)
 //   anonymous   = true
 //   slots       = 8
 //   bandwidth   = 400M                        (total rate cap; 0 = off)

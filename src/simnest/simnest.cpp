@@ -34,10 +34,10 @@ SimNest::SimNest(SimHost& host, SimNestConfig config)
 }
 
 void SimNest::ServiceGate::schedule_pump() {
-  if (pump_pending_) return;
-  pump_pending_ = true;
+  if (pump_scheduled_) return;
+  pump_scheduled_ = true;
   eng_.schedule(0, [this] {
-    pump_pending_ = false;
+    pump_scheduled_ = false;
     pump();
   });
 }

@@ -152,7 +152,7 @@ class SimNest {
 
     sim::Engine& eng_;
     transfer::TransferCore& core_;
-    bool pump_pending_ = false;
+    bool pump_scheduled_ = false;
     std::unordered_map<transfer::TransferRequest*, std::coroutine_handle<>>
         waiters_;
   };

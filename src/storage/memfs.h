@@ -38,7 +38,7 @@ class MemFs final : public VirtualFs {
 
   // File payloads carry their own lock: handles returned by open()/create()
   // outlive any caller-side metadata lock and run data ops concurrently
-  // with stat/list (the transfer path is deliberately sharded off the
+  // with stat/list (the transfer path deliberately runs outside the
   // storage-manager mutex). mtime lives here too so a handle can stamp it
   // safely even after the node was renamed or removed.
   struct FileData {

@@ -31,16 +31,14 @@ struct TransferRequest {
   // Scratch for schedulers (e.g. queue position bookkeeping).
   std::int64_t sched_tag = 0;
   // --- TransferCore fields ---
-  // Global submission-order stamp: TransferCore's sharded submission
-  // queues are merged back into scheduler arrival order by this number.
-  std::uint64_t submit_seq = 0;
   // This request's protocol-class byte counter, resolved once by
   // TransferCore::create_request; charge() adds to it with no lock and no
   // lookup. It points into an insert-only map, so it never dangles.
   std::atomic<std::int64_t>* class_bytes = nullptr;
   // Real-mode slot-grant word (1 = slot granted). Accessed only through
   // std::atomic_ref: the owning connection thread resets it before each
-  // submission and blocks on it; the granting pump stores 1 and notifies.
+  // submission and blocks on it; the granting thread stores 1 and
+  // notifies under TransferCore's lock.
   // A plain word (not std::atomic<>) so the struct stays copyable for
   // single-threaded policy tests.
   std::uint32_t grant_word = 0;

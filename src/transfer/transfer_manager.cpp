@@ -40,7 +40,7 @@ Nanos TransferManager::hold_until() const {
 
 void TransferManager::charge(TransferRequest* r, std::int64_t bytes) {
   r->done += bytes;
-  account_bytes(bytes);
+  total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   scheduler_->charge(r, bytes);
   cache_model_.observe_access(r->path, r->done - bytes, bytes);
 }

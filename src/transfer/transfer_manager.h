@@ -67,14 +67,6 @@ class TransferManager {
     return in_flight_.load(std::memory_order_relaxed);
   }
 
-  // Granular piece of charge(): the atomic byte total only (no scheduler
-  // or cache-model touch). TransferCore calls this lock-free on the hot
-  // path and applies the scheduler charge and cache observation under its
-  // own locks.
-  void account_bytes(std::int64_t bytes) {
-    total_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-
   // --- concurrency model selection (single-threaded; sim only) ---
   ConcurrencyModel pick_model();
   void report_model(ConcurrencyModel m, double metric_value);

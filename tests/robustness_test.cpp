@@ -23,7 +23,7 @@ class RobustnessTest : public ::testing::Test {
  protected:
   void SetUp() override {
     NestServerOptions opts;
-    opts.idle_timeout_ms = 2000;  // keep abandoned-connection tests fast
+    opts.conn_read_timeout_ms = 2000;  // keep abandoned-connection tests fast
     auto server = NestServer::start(opts);
     ASSERT_TRUE(server.ok());
     server_ = std::move(server.value());

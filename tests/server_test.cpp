@@ -265,6 +265,40 @@ TEST(ServerLifecycle, StopIsIdempotentAndFast) {
             5);
 }
 
+// The NFS worker blocks in recv_from; stop() must wake it by shutting the
+// socket down, not wait out a receive poll.
+TEST(ServerLifecycle, StopWithNfsOnReturnsPromptly) {
+  server::NestServerOptions opts;
+  ASSERT_GE(opts.nfs_port, 0);  // NFS is on by default
+  auto server = server::NestServer::start(opts);
+  ASSERT_TRUE(server.ok());
+  ASSERT_NE((*server)->nfs_port(), 0);
+  // Let the worker reach its blocking receive.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const auto begin = std::chrono::steady_clock::now();
+  (*server)->stop();
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  EXPECT_LT(
+      std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
+      100);
+}
+
+// Real mode has no timer to end a non-work-conserving hold, so the
+// simulation-only scheduler is refused at startup; plain stride starts.
+TEST(ServerLifecycle, RefusesNonWorkConservingScheduler) {
+  server::NestServerOptions opts;
+  opts.tm.scheduler = "stride-nwc";
+  auto refused = server::NestServer::start(opts);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, Errc::invalid_argument);
+  EXPECT_NE(refused.error().message.find("simulation-only"),
+            std::string::npos);
+  opts.tm.scheduler = "stride";
+  auto started = server::NestServer::start(opts);
+  ASSERT_TRUE(started.ok());
+  (*started)->stop();
+}
+
 TEST(ServerLifecycle, DisabledProtocolsStayOff) {
   server::NestServerOptions opts;
   opts.http_port = -1;

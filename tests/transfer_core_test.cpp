@@ -2,12 +2,14 @@
 // (labelled `concurrency` in CTest; the tier-1 script also runs them under
 // ThreadSanitizer via the `tsan` CMake preset).
 //
-// The properties under test are the ones the sharded submission / atomic
-// accounting design must preserve:
+// The properties under test are the ones the one-lock core with
+// per-request grant words must preserve:
 //   * conservation: every charged byte and every completed request is
 //     counted exactly once, no matter how many threads charge at once;
 //   * no lost wakeups: a released slot always reaches a waiter, even with
 //     a single slot and many contending threads;
+//   * proportional share under threads: blocking acquire/release grants
+//     stride classes bytes in ticket ratio;
 //   * scheduler order: the substrate-driven (submit/try_grant) interface
 //     grants in exactly the order the configured scheduler decides.
 #include <gtest/gtest.h>
@@ -111,6 +113,71 @@ TEST(TransferCoreStress, ManySlotsManyThreads) {
              /*blocks=*/2);
 }
 
+// Stride order under real threads: one slot, classes "a" and "b" at 3:1
+// tickets, four threads per class looping acquire / charge(64 KiB) /
+// release. The holder sleeps while it holds the slot, as a block's I/O
+// would, so the other threads are queued at each grant and both classes
+// stay backlogged. Once every thread has run, the next kWarmup grants
+// settle the passes and the kWindow grants after them must split bytes
+// 3:1 within 10%; every byte is conserved.
+TEST(TransferCoreStress, StrideShareUnderThreads) {
+  TransferManager::Options opts = fifo_options();
+  opts.scheduler = "stride";
+  TransferManager tm(RealClock::instance(), opts);
+  TransferCore core(tm, /*slots=*/1);
+  tm.stride()->set_tickets("a", 3);
+  tm.stride()->set_tickets("b", 1);
+  constexpr std::int64_t kBlock = 64 * 1024;
+  constexpr int kThreads = 8;  // even: a, b, a, b, ...
+  constexpr int kWarmup = 200;
+  constexpr int kWindow = 2000;
+  std::atomic<int> started{0};
+  std::atomic<int> counted{0};
+  std::atomic<bool> stop{false};
+  std::atomic<std::int64_t> window_a{0}, window_b{0};
+  std::atomic<std::int64_t> moved_a{0}, moved_b{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    const bool is_a = t % 2 == 0;
+    workers.emplace_back([&, is_a] {
+      TransferRequest* r = core.create_request(
+          is_a ? "a" : "b", Direction::read, "/s", /*size=*/0);
+      bool first = true;
+      while (!stop.load()) {
+        core.acquire(r);
+        if (first) {
+          first = false;
+          ++started;
+        }
+        if (started.load() == kThreads) {
+          const int n = counted.fetch_add(1) - kWarmup;
+          if (n >= 0 && n < kWindow) (is_a ? window_a : window_b) += kBlock;
+          if (n + 1 >= kWindow) stop = true;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        core.charge(r, kBlock);
+        (is_a ? moved_a : moved_b) += kBlock;
+        core.release();
+      }
+      core.complete(r);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  ASSERT_GT(window_b.load(), 0);
+  const double ratio = static_cast<double>(window_a.load()) /
+                       static_cast<double>(window_b.load());
+  EXPECT_NEAR(ratio, 3.0, 0.3)
+      << "a=" << window_a.load() << " b=" << window_b.load();
+  EXPECT_EQ(window_a + window_b, kWindow * kBlock);
+  EXPECT_EQ(tm.total_bytes(), moved_a + moved_b);
+  const std::map<std::string, std::int64_t> expect = {{"a", moved_a.load()},
+                                                      {"b", moved_b.load()}};
+  EXPECT_EQ(core.class_bytes(), expect);
+  EXPECT_EQ(tm.in_flight(), 0u);
+  EXPECT_EQ(core.free_slots(), 1);
+}
+
 // Concurrent lifecycle calls interleaved with monitoring reads (the
 // dispatcher's ClassAd publisher does exactly this in real mode).
 TEST(TransferCoreStress, MonitoringReadsDuringTraffic) {
@@ -196,7 +263,7 @@ TEST(TransferCoreSubstrate, GrantsInSchedulerOrder) {
   EXPECT_EQ(tm.in_flight(), 0u);
 }
 
-// Deferred scheduler charges must be applied before the next grant
+// Scheduler charges must reach the scheduler before the next grant
 // decision: with a 1:2 stride share and equal backlogs, the class with
 // more tickets gets proportionally more grants.
 TEST(TransferCoreSubstrate, ChargesReachSchedulerBeforeNextGrant) {
