@@ -9,13 +9,13 @@
 # fig4_proportional fig5_adaptive fig6_lot_overhead abl_adapt_period
 # abl_staged abl_journal_commit abl_wire_speed abl_replication abl_scale
 # abl_hsm abl_nonwork_conserving abl_cache_aware abl_user_share
-# abl_staging. Any machine-readable
+# abl_staging abl_lot_reclaim abl_lot_enforcement. Any machine-readable
 # JSONL rows a bench prints are lifted into the "rows" array; the full
-# stdout/stderr transcript is preserved verbatim under "raw". The twelve
-# deterministic sim transcripts (fig3-6, abl_adapt_period, abl_staged,
+# stdout/stderr transcript is preserved verbatim under "raw". The fourteen
+# deterministic transcripts (fig3-6, abl_adapt_period, abl_staged,
 # abl_scale, abl_hsm, abl_nonwork_conserving, abl_cache_aware,
-# abl_user_share, abl_staging) are also regression tests: CTest label
-# `figures` (tests/check_figure.py).
+# abl_user_share, abl_staging, abl_lot_reclaim, abl_lot_enforcement) are
+# also regression tests: CTest label `figures` (tests/check_figure.py).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -29,7 +29,7 @@ if [ "${#BENCHES[@]}" -eq 0 ]; then
            fig6_lot_overhead abl_adapt_period abl_staged
            abl_journal_commit abl_wire_speed abl_replication abl_scale
            abl_hsm abl_nonwork_conserving abl_cache_aware abl_user_share
-           abl_staging)
+           abl_staging abl_lot_reclaim abl_lot_enforcement)
 fi
 
 if [ ! -d "$BUILD_DIR" ]; then
@@ -40,7 +40,9 @@ fi
 echo "== building benchmarks =="
 cmake --build "$BUILD_DIR" --target "${BENCHES[@]}" -j >/dev/null
 
-GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+# HEAD's short hash, with "-dirty" when the tree has uncommitted changes:
+# a run from an uncommitted tree is not a run of HEAD.
+GIT_REV="$(git describe --always --dirty --exclude='*' 2>/dev/null || echo unknown)"
 mkdir -p "$OUT_DIR"
 
 for name in "${BENCHES[@]}"; do

@@ -384,7 +384,10 @@ std::string Dispatcher::stats_json() const {
     os << "{\"last_lsn\":" << js->last_lsn
        << ",\"durable_lsn\":" << js->durable_lsn
        << ",\"appends\":" << js->appends << ",\"commits\":" << js->commits
-       << ",\"fsyncs\":" << js->fsyncs << "}";
+       << ",\"fsyncs\":" << js->fsyncs
+       << ",\"recovered_records\":" << js->recovered_records
+       << ",\"recovered_bytes\":" << js->recovered_bytes
+       << ",\"recovery_us\":" << js->recovery_time / kMicrosecond << "}";
   } else {
     os << "null";
   }

@@ -15,6 +15,7 @@
 #include "fault/failpoint.h"
 #include "journal/crc32c.h"
 #include "journal/record.h"
+#include "obs/stats.h"
 
 namespace nest::journal {
 
@@ -24,7 +25,6 @@ constexpr std::uint32_t kSegmentMagic = 0x4a54534e;  // "NSTJ"
 constexpr std::uint32_t kSnapshotMagic = 0x50534e4e;  // "NNSP"
 constexpr std::uint32_t kVersion = 1;
 constexpr std::size_t kSegmentHeaderBytes = 4 + 4 + 8;
-constexpr std::size_t kFrameHeaderBytes = 4 + 4 + 8;
 
 std::string lsn_name(const char* prefix, Lsn lsn, const char* suffix) {
   char buf[64];
@@ -76,23 +76,31 @@ Status fsync_path(const std::string& path) {
   return {};
 }
 
+// The whole file in one buffer sized by fstat, read in as few read()s as
+// the kernel allows.
 Result<std::string> read_file(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0)
     return Error{Errc::io_error, "open " + path + ": " + std::strerror(errno)};
-  std::string out;
-  char buf[64 * 1024];
-  while (true) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Error{Errc::io_error, "stat " + path};
+  }
+  std::string out(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
       return Error{Errc::io_error, "read " + path};
     }
-    if (n == 0) break;
-    out.append(buf, static_cast<std::size_t>(n));
+    if (n == 0) break;  // shrank since the fstat: keep what is there
+    got += static_cast<std::size_t>(n);
   }
   ::close(fd);
+  out.resize(got);
   return out;
 }
 
@@ -167,6 +175,7 @@ Journal::Journal(Clock& clock, JournalOptions options)
 
 Result<std::unique_ptr<Journal>> Journal::open(Clock& clock,
                                                JournalOptions options) {
+  const Nanos start = clock.now();
   if (options.dir.empty())
     return Error{Errc::invalid_argument, "journal dir is empty"};
   if (::mkdir(options.dir.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -178,6 +187,8 @@ Result<std::unique_ptr<Journal>> Journal::open(Clock& clock,
     // No other thread exists yet; the lock is for analyzability only.
     MutexLock lock(j->mu_);
     if (auto s = j->recover(); !s.ok()) return Error{s.error()};
+    j->recovery_start_ = start;
+    j->recovery_time_ = clock.now() - start;
   }
   return j;
 }
@@ -213,31 +224,37 @@ Status Journal::recover() {
   for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
     auto bytes = read_file(it->second);
     if (!bytes.ok()) continue;
+    recovered_bytes_ += bytes->size();
     RecordReader r(*bytes);
-    const auto magic = r.u32();
-    const auto version = r.u32();
-    const auto lsn = r.u64();
-    const auto time = r.i64();
-    const auto crc = r.u32();
-    const auto payload = r.str();
-    if (!magic.ok() || *magic != kSnapshotMagic || !version.ok() ||
-        *version != kVersion || !lsn.ok() || !time.ok() || !crc.ok() ||
-        !payload.ok() || crc32c(*payload) != *crc) {
+    const std::uint32_t magic = r.u32();
+    const std::uint32_t version = r.u32();
+    const Lsn lsn = r.u64();
+    const Nanos time = r.i64();
+    const std::uint32_t crc = r.u32();
+    const std::string_view payload = r.str();
+    if (!r.good() || magic != kSnapshotMagic || version != kVersion ||
+        crc32c(payload) != crc) {
       NEST_LOG_WARN("journal", "ignoring corrupt snapshot %s",
                     it->second.c_str());
       continue;
     }
-    snapshot_lsn_ = *lsn;
-    snapshot_time_ = *time;
-    snapshot_payload_ = std::move(payload.value());
+    snapshot_lsn_ = lsn;
+    snapshot_time_ = time;
+    // The view is taken after the move: it must point into the member.
+    const auto at = static_cast<std::size_t>(payload.data() - bytes->data());
+    snapshot_file_ = std::move(*bytes);
+    snapshot_payload_ =
+        std::string_view(snapshot_file_).substr(at, payload.size());
     snapshot_path_ = it->second;
     break;
   }
 
-  // Scan segments in order; collect records past the snapshot. The first
-  // invalid frame is the torn tail: truncate there and discard anything
-  // after it (later segments included — they cannot contain acknowledged
-  // records if an earlier write never completed).
+  // Scan segments in order, validating each frame in place in the
+  // segment's buffer; buffers holding records past the snapshot are kept
+  // for replay(). The first invalid frame is the torn tail: truncate
+  // there and discard anything after it (later segments included — they
+  // cannot contain acknowledged records if an earlier write never
+  // completed).
   Lsn last_lsn = snapshot_lsn_;
   bool torn = false;
   std::size_t keep_segments = segments_.size();
@@ -249,47 +266,42 @@ Status Journal::recover() {
     const Segment& seg = segments_[si];
     auto bytes = read_file(seg.path);
     if (!bytes.ok()) return Status{bytes.error()};
+    recovered_bytes_ += bytes->size();
+    RecordReader r(*bytes);
+    const std::uint32_t magic = r.u32();
+    const std::uint32_t version = r.u32();
+    const Lsn start = r.u64();
     std::size_t good = 0;
-    do {
-      if (bytes->size() < kSegmentHeaderBytes) { torn = true; break; }
-      RecordReader hdr(*bytes);
-      const auto magic = hdr.u32();
-      const auto version = hdr.u32();
-      const auto start = hdr.u64();
-      if (!magic.ok() || *magic != kSegmentMagic || !version.ok() ||
-          *version != kVersion || !start.ok() || *start != seg.start_lsn) {
-        torn = true;
-        break;
-      }
+    bool has_tail = false;
+    if (!r.good() || magic != kSegmentMagic || version != kVersion ||
+        start != seg.start_lsn) {
+      torn = true;
+    } else {
       good = kSegmentHeaderBytes;
-      while (good < bytes->size()) {
-        if (bytes->size() - good < kFrameHeaderBytes) { torn = true; break; }
-        RecordReader fr(std::string_view(*bytes).substr(good));
-        const std::uint32_t len = *fr.u32();
-        const std::uint32_t crc = *fr.u32();
-        if (bytes->size() - good < kFrameHeaderBytes + len) {
+      while (!r.done()) {
+        const std::uint32_t len = r.u32();
+        const std::uint32_t crc = r.u32();
+        const std::string_view inner = r.bytes(sizeof(Lsn) + len);
+        if (!r.good() || crc32c(inner) != crc) {
           torn = true;
           break;
         }
-        const std::string_view inner =
-            std::string_view(*bytes).substr(good + 8, 8 + len);
-        if (crc32c(inner) != crc) { torn = true; break; }
-        const Lsn lsn = *fr.u64();
+        const Lsn lsn = RecordReader(inner).u64();
         // A sequence break also ends the trusted prefix.
-        if (lsn != last_lsn + 1 && lsn > snapshot_lsn_) {
-          torn = true;
-          break;
-        }
         if (lsn > snapshot_lsn_) {
-          recovered_.emplace_back(
-              lsn, std::string(inner.substr(8)));
+          if (lsn != last_lsn + 1) {
+            torn = true;
+            break;
+          }
           last_lsn = lsn;
+          ++recovered_records_;
+          has_tail = true;
         } else if (lsn > last_lsn) {
           last_lsn = lsn;
         }
-        good += kFrameHeaderBytes + len;
+        good = bytes->size() - r.remaining();
       }
-    } while (false);
+    }
     if (torn) {
       NEST_LOG_WARN("journal", "truncating torn tail of %s at %zu bytes",
                     seg.path.c_str(), good);
@@ -307,6 +319,10 @@ Status Journal::recover() {
         keep_segments = std::min(keep_segments, si + 1);
       }
     }
+    if (has_tail) {
+      bytes->resize(good);
+      tail_segments_.push_back(std::move(*bytes));
+    }
   }
   for (std::size_t si = keep_segments; si < segments_.size(); ++si) {
     NEST_LOG_WARN("journal", "dropping unreachable segment %s",
@@ -318,7 +334,7 @@ Status Journal::recover() {
 
   next_lsn_ = last_lsn + 1;
   durable_lsn_ = last_lsn;
-  records_since_snapshot_ = recovered_.size();
+  records_since_snapshot_ = recovered_records_;
 
   // Append head: always start a fresh segment — cheap, and it never
   // reopens a file whose tail state we would otherwise have to trust.
@@ -413,9 +429,11 @@ Status Journal::sync_locked(MutexLock& lock, Lsn upto) {
     // capability itself (not through `lock`) so the analysis sees exactly
     // which members stay off limits until it is reacquired.
     mu_.unlock();
+    const Nanos flush_start = clock_.now();
     const Status s = write_batch(fd, path, batch,
                                  options_.sync != SyncMode::none,
                                  durable_size, size);
+    obs::Stats::global().journal_flush.record(clock_.now() - flush_start);
     mu_.lock();
     flushing_ = false;
     seg_size_ = size;
@@ -447,15 +465,30 @@ Result<Lsn> Journal::append_commit(std::string payload) {
 
 Status Journal::replay(
     const std::function<Status(Lsn, std::string_view)>& fn) {
-  for (const auto& [lsn, payload] : recovered_) {
-    if (auto s = fn(lsn, payload); !s.ok()) return s;
+  // recover() validated every frame kept here; walk them by their headers.
+  // A kept segment may start with frames the snapshot already covers.
+  const Lsn after = snapshot_lsn();
+  for (const std::string& segment : tail_segments_) {
+    RecordReader r(segment);
+    r.skip(kSegmentHeaderBytes);
+    while (!r.done()) {
+      const std::uint32_t len = r.u32();
+      r.skip(sizeof(std::uint32_t));  // crc
+      const Lsn lsn = r.u64();
+      const std::string_view payload = r.bytes(len);
+      if (lsn <= after) continue;
+      if (auto s = fn(lsn, payload); !s.ok()) return s;
+    }
   }
   return {};
 }
 
 void Journal::drop_recovered_tail() {
-  recovered_.clear();
-  recovered_.shrink_to_fit();
+  snapshot_payload_.reset();
+  std::string().swap(snapshot_file_);
+  std::vector<std::string>().swap(tail_segments_);
+  MutexLock lock(mu_);
+  recovery_time_ = clock_.now() - recovery_start_;
 }
 
 Status Journal::write_snapshot(const std::string& payload) {
@@ -538,6 +571,9 @@ JournalStats Journal::stats() const {
   st.appends = appends_;
   st.commits = commits_;
   st.fsyncs = fsyncs_;
+  st.recovered_records = recovered_records_;
+  st.recovered_bytes = recovered_bytes_;
+  st.recovery_time = recovery_time_;
   return st;
 }
 

@@ -16,6 +16,10 @@
 // truncates (a crash mid-write never corrupts acknowledged records
 // because acknowledgment waits for commit()).
 //
+// Recovery reads each segment into one buffer sized by fstat, validates
+// its frames in place, and keeps the buffer (cut at the last valid
+// frame) until the owner has replayed it: no record is copied.
+//
 // Commit: the first commit() caller that finds no flush in flight leads —
 // it writes every pending frame outside the lock, fsyncs them (unless sync
 // is none, a benchmark baseline) and wakes the followers; appends made
@@ -34,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -67,6 +72,12 @@ struct JournalStats {
   std::uint64_t appends = 0;
   std::uint64_t commits = 0;
   std::uint64_t fsyncs = 0;
+  // Start-up recovery: records past the snapshot, bytes read (snapshot
+  // plus segments), and the time from open() until the owner dropped the
+  // recovered tail (scan, snapshot install and replay).
+  std::uint64_t recovered_records = 0;
+  std::uint64_t recovered_bytes = 0;
+  Nanos recovery_time = 0;
 };
 
 class Journal {
@@ -92,8 +103,10 @@ class Journal {
   // append + commit in one call.
   NEST_NODISCARD Result<Lsn> append_commit(std::string payload);
 
-  // --- Recovery artifacts (valid after open, before the first append) ---
-  const std::optional<std::string>& snapshot_payload() const {
+  // --- Recovery artifacts (valid after open, until drop_recovered_tail) ---
+  // The newest valid snapshot's payload, a view into the snapshot file's
+  // bytes.
+  std::optional<std::string_view> snapshot_payload() const {
     return snapshot_payload_;
   }
   Lsn snapshot_lsn() const {
@@ -101,10 +114,13 @@ class Journal {
     return snapshot_lsn_;
   }
   // Invoke `fn` for every recovered record with lsn > snapshot_lsn, in
-  // LSN order. A failed callback aborts replay with its status.
+  // LSN order. The payload is a view into the recovered segment buffers
+  // and is valid only during the callback: a callback that keeps it must
+  // copy it. A failed callback aborts replay with its status.
   NEST_NODISCARD
   Status replay(const std::function<Status(Lsn, std::string_view)>& fn);
-  // Release the recovered tail buffer once the owner has replayed it.
+  // Free the recovery buffers (segments and snapshot) once the owner has
+  // replayed them; this ends the window stats().recovery_time reports.
   void drop_recovered_tail();
 
   // Write a full-state snapshot covering every appended record, roll to
@@ -159,24 +175,30 @@ class Journal {
   std::vector<Segment> segments_ GUARDED_BY(mu_);
 
   // Snapshot state.
-  // snapshot_payload_ is a recovery artifact: written once under mu_ in
-  // recover(), read-only afterwards (the unlocked accessor above is the
-  // documented single-owner handoff to attach_journal before serving).
-  std::optional<std::string> snapshot_payload_;
   Lsn snapshot_lsn_ GUARDED_BY(mu_) = 0;
   std::string snapshot_path_ GUARDED_BY(mu_);
   Nanos snapshot_time_ GUARDED_BY(mu_) = 0;
   std::uint64_t records_since_snapshot_ GUARDED_BY(mu_) = 0;
 
-  // Recovery tail (lsn > snapshot_lsn_); same single-owner handoff as
-  // snapshot_payload_: filled in recover(), consumed via replay()/
-  // drop_recovered_tail() before the journal serves concurrent callers.
-  std::vector<std::pair<Lsn, std::string>> recovered_;
+  // Recovery buffers. Written once under mu_ in recover() and read-only
+  // afterwards: the unlocked snapshot_payload()/replay() are the
+  // documented single-owner handoff to attach_journal before the journal
+  // serves concurrent callers; drop_recovered_tail() frees them.
+  // The chosen snapshot file's bytes, and its payload within them.
+  std::string snapshot_file_;
+  std::optional<std::string_view> snapshot_payload_;
+  // Each segment holding records past the snapshot, cut at its last
+  // valid frame, in LSN order.
+  std::vector<std::string> tail_segments_;
 
   // Counters.
   std::uint64_t appends_ GUARDED_BY(mu_) = 0;
   std::uint64_t commits_ GUARDED_BY(mu_) = 0;
   std::uint64_t fsyncs_ GUARDED_BY(mu_) = 0;
+  std::uint64_t recovered_records_ GUARDED_BY(mu_) = 0;
+  std::uint64_t recovered_bytes_ GUARDED_BY(mu_) = 0;
+  Nanos recovery_start_ GUARDED_BY(mu_) = 0;
+  Nanos recovery_time_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace nest::journal

@@ -1,7 +1,5 @@
 #include "journal/record.h"
 
-#include <cstring>
-
 namespace nest::journal {
 
 void RecordWriter::u32(std::uint32_t v) {
@@ -21,48 +19,6 @@ void RecordWriter::u64(std::uint64_t v) {
 void RecordWriter::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
   buf_.append(s.data(), s.size());
-}
-
-Result<std::uint8_t> RecordReader::u8() {
-  if (remaining() < 1)
-    return Error{Errc::protocol_error, "record underflow (u8)"};
-  return static_cast<std::uint8_t>(buf_[pos_++]);
-}
-
-Result<std::uint32_t> RecordReader::u32() {
-  if (remaining() < 4)
-    return Error{Errc::protocol_error, "record underflow (u32)"};
-  const auto* p = reinterpret_cast<const unsigned char*>(buf_.data() + pos_);
-  pos_ += 4;
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-Result<std::uint64_t> RecordReader::u64() {
-  auto lo = u32();
-  if (!lo.ok()) return lo.error();
-  auto hi = u32();
-  if (!hi.ok()) return hi.error();
-  return static_cast<std::uint64_t>(*lo) |
-         (static_cast<std::uint64_t>(*hi) << 32);
-}
-
-Result<std::int64_t> RecordReader::i64() {
-  auto v = u64();
-  if (!v.ok()) return v.error();
-  return static_cast<std::int64_t>(*v);
-}
-
-Result<std::string> RecordReader::str() {
-  auto len = u32();
-  if (!len.ok()) return len.error();
-  if (remaining() < *len)
-    return Error{Errc::protocol_error, "record underflow (str)"};
-  std::string out(buf_.substr(pos_, *len));
-  pos_ += *len;
-  return out;
 }
 
 }  // namespace nest::journal

@@ -100,6 +100,8 @@ std::string Stats::to_json() const {
   histogram_json(os, transfer_latency);
   os << ",\"journal_fsync_wait\":";
   histogram_json(os, journal_fsync_wait);
+  os << ",\"journal_flush\":";
+  histogram_json(os, journal_flush);
   os << ",\"hsm\":{\"migrations\":"
      << hsm_migrations.load(std::memory_order_relaxed)
      << ",\"recalls\":" << hsm_recalls.load(std::memory_order_relaxed)
@@ -135,6 +137,7 @@ void Stats::reset() {
   sched_hold.reset();
   transfer_latency.reset();
   journal_fsync_wait.reset();
+  journal_flush.reset();
   hsm_recall_wait.reset();
   hsm_migrate_time.reset();
   for (auto& [proto, hist] : per_protocol_) hist.reset();

@@ -83,6 +83,7 @@ class Stats {
 
   // --- journal ---
   Histogram journal_fsync_wait;  // barrier wait per durable metadata op
+  Histogram journal_flush;       // a commit leader's write + fsync per batch
 
   // --- HSM (cold tier) ---
   Histogram hsm_recall_wait;   // cold->hot staging wall time per recall

@@ -45,48 +45,32 @@ void encode_lot(RecordWriter& w, const Lot& lot) {
   }
 }
 
-Result<Lot> decode_lot(RecordReader& r) {
+// Decodes one lot record. Like every getter it reads 0s past the end of
+// the payload, so the caller checks r.good() before it installs the lot.
+Lot decode_lot(RecordReader& r) {
   Lot lot;
-  auto id = r.u64();
-  if (!id.ok()) return id.error();
-  lot.id = *id;
-  auto owner = r.str();
-  if (!owner.ok()) return owner.error();
-  lot.owner = std::move(owner.value());
-  auto group = r.u8();
-  if (!group.ok()) return group.error();
-  lot.group_lot = *group != 0;
-  auto capacity = r.i64();
-  if (!capacity.ok()) return capacity.error();
-  lot.capacity = *capacity;
-  auto used = r.i64();
-  if (!used.ok()) return used.error();
-  lot.used = *used;
-  auto expiry = r.i64();
-  if (!expiry.ok()) return expiry.error();
-  lot.expiry = *expiry;
-  auto be = r.u8();
-  if (!be.ok()) return be.error();
-  lot.best_effort = *be != 0;
-  auto last_use = r.i64();
-  if (!last_use.ok()) return last_use.error();
-  lot.last_use = *last_use;
-  auto replicas = r.i64();
-  if (!replicas.ok()) return replicas.error();
-  lot.replicas = *replicas;
-  auto pinned = r.u8();
-  if (!pinned.ok()) return pinned.error();
-  lot.pinned = *pinned != 0;
-  auto nfiles = r.u32();
-  if (!nfiles.ok()) return nfiles.error();
-  for (std::uint32_t i = 0; i < *nfiles; ++i) {
-    auto path = r.str();
-    if (!path.ok()) return path.error();
-    auto bytes = r.i64();
-    if (!bytes.ok()) return bytes.error();
-    lot.files[std::move(path.value())] = *bytes;
+  lot.id = r.u64();
+  lot.owner = r.str();
+  lot.group_lot = r.u8() != 0;
+  lot.capacity = r.i64();
+  lot.used = r.i64();
+  lot.expiry = r.i64();
+  lot.best_effort = r.u8() != 0;
+  lot.last_use = r.i64();
+  lot.replicas = r.i64();
+  lot.pinned = r.u8() != 0;
+  const std::uint32_t nfiles = r.u32();
+  for (std::uint32_t i = 0; i < nfiles && r.good(); ++i) {
+    const std::string_view path = r.str();
+    const std::int64_t bytes = r.i64();
+    // Encoded from a map, so paths arrive sorted: the end hint is exact.
+    lot.files.insert_or_assign(lot.files.end(), std::string(path), bytes);
   }
   return lot;
+}
+
+Error underflow() {
+  return Error{Errc::protocol_error, "journal record underflow"};
 }
 
 }  // namespace
@@ -173,94 +157,83 @@ void MetaBatch::clear() {
 Result<Nanos> apply_meta_batch(std::string_view payload,
                                const MetaState& state) {
   RecordReader r(payload);
-  auto ts = r.i64();
-  if (!ts.ok()) return ts.error();
-  auto count = r.u32();
-  if (!count.ok()) return count.error();
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto tag = r.u8();
-    if (!tag.ok()) return tag.error();
-    switch (static_cast<Tag>(*tag)) {
+  const Nanos ts = r.i64();
+  const std::uint32_t count = r.u32();
+  // Each case decodes its record, then installs it only if every field
+  // was there; the first short record ends the loop.
+  for (std::uint32_t i = 0; i < count && r.good(); ++i) {
+    const auto tag = static_cast<Tag>(r.u8());
+    if (!r.good()) break;
+    switch (tag) {
       case Tag::lot_put: {
-        auto lot = decode_lot(r);
-        if (!lot.ok()) return lot.error();
-        state.lots.restore_lot(*lot);
+        Lot lot = decode_lot(r);
+        if (r.good()) state.lots.restore_lot(std::move(lot));
         break;
       }
       case Tag::lot_erase: {
-        auto id = r.u64();
-        if (!id.ok()) return id.error();
-        state.lots.erase_lot(*id);
+        const LotId id = r.u64();
+        if (r.good()) state.lots.erase_lot(id);
         break;
       }
       case Tag::lot_expire: {
-        auto id = r.u64();
-        if (!id.ok()) return id.error();
-        state.lots.apply_expire(*id);
+        const LotId id = r.u64();
+        if (r.good()) state.lots.apply_expire(id);
         break;
       }
       case Tag::file_release: {
-        auto path = r.str();
-        if (!path.ok()) return path.error();
-        state.lots.release_file(*path);
+        const std::string_view path = r.str();
+        if (r.good()) state.lots.release_file(std::string(path));
         break;
       }
       case Tag::acl_put: {
-        auto dir = r.str();
-        if (!dir.ok()) return dir.error();
-        auto text = r.str();
-        if (!text.ok()) return text.error();
-        auto entry = classad::ClassAd::parse(*text);
+        const std::string_view dir = r.str();
+        const std::string_view text = r.str();
+        if (!r.good()) break;
+        auto entry = classad::ClassAd::parse(text);
         if (!entry.ok()) return entry.error();
-        if (auto s = state.acl.set_entry(*dir, *entry); !s.ok())
+        if (auto s = state.acl.set_entry(std::string(dir), *entry); !s.ok())
           return s.error();
         break;
       }
       case Tag::acl_clear: {
-        auto dir = r.str();
-        if (!dir.ok()) return dir.error();
-        auto spec = r.str();
-        if (!spec.ok()) return spec.error();
+        const std::string_view dir = r.str();
+        const std::string_view spec = r.str();
+        if (!r.good()) break;
         // not_found is fine on replay: the entry may already be gone in
         // a snapshot-covered prefix.
-        (void)state.acl.clear_entries(*dir, *spec);
+        (void)state.acl.clear_entries(std::string(dir), std::string(spec));
         break;
       }
       case Tag::quota_put: {
-        auto owner = r.str();
-        if (!owner.ok()) return owner.error();
-        auto limit = r.i64();
-        if (!limit.ok()) return limit.error();
-        auto used = r.i64();
-        if (!used.ok()) return used.error();
-        state.quota.restore(*owner, *limit, *used);
+        const std::string_view owner = r.str();
+        const std::int64_t limit = r.i64();
+        const std::int64_t used = r.i64();
+        if (r.good()) state.quota.restore(std::string(owner), limit, used);
         break;
       }
       case Tag::hsm_put: {
-        auto path = r.str();
-        if (!path.ok()) return path.error();
-        auto size = r.i64();
-        if (!size.ok()) return size.error();
-        auto owner = r.str();
-        if (!owner.ok()) return owner.error();
-        if (state.residency != nullptr) {
+        const std::string_view path = r.str();
+        const std::int64_t size = r.i64();
+        const std::string_view owner = r.str();
+        if (r.good() && state.residency != nullptr) {
           state.residency->put(
-              *path, hsm::ColdEntry{hsm::Tier::cold, *size,
-                                    std::move(owner.value())});
+              std::string(path),
+              hsm::ColdEntry{hsm::Tier::cold, size, std::string(owner)});
         }
         break;
       }
       case Tag::hsm_erase: {
-        auto path = r.str();
-        if (!path.ok()) return path.error();
-        if (state.residency != nullptr) state.residency->erase(*path);
+        const std::string_view path = r.str();
+        if (r.good() && state.residency != nullptr)
+          state.residency->erase(std::string(path));
         break;
       }
       default:
         return Error{Errc::protocol_error, "unknown journal record tag"};
     }
   }
-  return *ts;
+  if (!r.good()) return underflow();
+  return ts;
 }
 
 std::string encode_meta_snapshot(Nanos now, const MetaState& state) {
@@ -310,63 +283,49 @@ std::string encode_meta_snapshot(Nanos now, const MetaState& state) {
 Result<Nanos> apply_meta_snapshot(std::string_view payload,
                                   const MetaState& state) {
   RecordReader r(payload);
-  auto version = r.u32();
-  if (!version.ok()) return version.error();
-  if (*version != kSnapshotVersion)
+  const std::uint32_t version = r.u32();
+  if (r.good() && version != kSnapshotVersion)
     return Error{Errc::unsupported, "snapshot version mismatch"};
-  auto ts = r.i64();
-  if (!ts.ok()) return ts.error();
-  auto next_id = r.u64();
-  if (!next_id.ok()) return next_id.error();
-  auto nlots = r.u32();
-  if (!nlots.ok()) return nlots.error();
-  for (std::uint32_t i = 0; i < *nlots; ++i) {
-    auto lot = decode_lot(r);
-    if (!lot.ok()) return lot.error();
-    state.lots.restore_lot(*lot);
+  const Nanos ts = r.i64();
+  const LotId next_id = r.u64();
+  const std::uint32_t nlots = r.u32();
+  for (std::uint32_t i = 0; i < nlots && r.good(); ++i) {
+    Lot lot = decode_lot(r);
+    if (r.good()) state.lots.restore_lot(std::move(lot));
   }
+  if (!r.good()) return underflow();
   // restore_lot advances next_id past the highest id; the recorded value
   // also covers ids handed out and then erased.
-  if (*next_id > state.lots.next_id()) state.lots.set_next_id(*next_id);
-  auto nacl = r.u32();
-  if (!nacl.ok()) return nacl.error();
+  if (next_id > state.lots.next_id()) state.lots.set_next_id(next_id);
+  const std::uint32_t nacl = r.u32();
   std::vector<std::pair<std::string, std::string>> entries;
-  entries.reserve(*nacl);
-  for (std::uint32_t i = 0; i < *nacl; ++i) {
-    auto dir = r.str();
-    if (!dir.ok()) return dir.error();
-    auto text = r.str();
-    if (!text.ok()) return text.error();
-    entries.emplace_back(std::move(dir.value()), std::move(text.value()));
+  for (std::uint32_t i = 0; i < nacl && r.good(); ++i) {
+    const std::string_view dir = r.str();
+    const std::string_view text = r.str();
+    entries.emplace_back(dir, text);
   }
+  if (!r.good()) return underflow();
   state.acl.import_entries(entries);
-  auto nquota = r.u32();
-  if (!nquota.ok()) return nquota.error();
-  for (std::uint32_t i = 0; i < *nquota; ++i) {
-    auto owner = r.str();
-    if (!owner.ok()) return owner.error();
-    auto limit = r.i64();
-    if (!limit.ok()) return limit.error();
-    auto used = r.i64();
-    if (!used.ok()) return used.error();
-    state.quota.restore(*owner, *limit, *used);
+  const std::uint32_t nquota = r.u32();
+  for (std::uint32_t i = 0; i < nquota && r.good(); ++i) {
+    const std::string_view owner = r.str();
+    const std::int64_t limit = r.i64();
+    const std::int64_t used = r.i64();
+    if (r.good()) state.quota.restore(std::string(owner), limit, used);
   }
-  auto nhsm = r.u32();
-  if (!nhsm.ok()) return nhsm.error();
-  for (std::uint32_t i = 0; i < *nhsm; ++i) {
-    auto path = r.str();
-    if (!path.ok()) return path.error();
-    auto size = r.i64();
-    if (!size.ok()) return size.error();
-    auto owner = r.str();
-    if (!owner.ok()) return owner.error();
-    if (state.residency != nullptr) {
-      state.residency->put(*path,
-                           hsm::ColdEntry{hsm::Tier::cold, *size,
-                                          std::move(owner.value())});
+  const std::uint32_t nhsm = r.u32();
+  for (std::uint32_t i = 0; i < nhsm && r.good(); ++i) {
+    const std::string_view path = r.str();
+    const std::int64_t size = r.i64();
+    const std::string_view owner = r.str();
+    if (r.good() && state.residency != nullptr) {
+      state.residency->put(
+          std::string(path),
+          hsm::ColdEntry{hsm::Tier::cold, size, std::string(owner)});
     }
   }
-  return *ts;
+  if (!r.good()) return underflow();
+  return ts;
 }
 
 }  // namespace nest::storage

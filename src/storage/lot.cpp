@@ -1,6 +1,7 @@
 #include "storage/lot.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace nest::storage {
 
@@ -28,9 +29,10 @@ void LotManager::tick() {
   }
 }
 
-void LotManager::restore_lot(const Lot& lot) {
-  lots_[lot.id] = lot;
+void LotManager::restore_lot(Lot lot) {
   if (lot.id >= next_id_) next_id_ = lot.id + 1;
+  const LotId id = lot.id;
+  lots_.insert_or_assign(id, std::move(lot));
 }
 
 void LotManager::erase_lot(LotId id) { lots_.erase(id); }

@@ -106,7 +106,8 @@ class LotManager {
 
   // --- Journal replay / snapshot support (no clock consultation) ---
   // Install a lot verbatim, replacing any existing lot with the same id.
-  void restore_lot(const Lot& lot);
+  // Takes the lot by value: replay moves each decoded lot in.
+  void restore_lot(Lot lot);
   void erase_lot(LotId id);
   // Replay of a journaled expiry transition; idempotent (a lot already
   // best-effort is untouched, matching the exactly-once tick contract).

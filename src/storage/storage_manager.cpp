@@ -51,12 +51,10 @@ Status StorageManager::attach_journal(journal::Journal& j, bool rebase_clock) {
     if (!ts.ok()) return Status{ts.error()};
     last_ts = *ts;
   }
-  std::uint64_t replayed = 0;
   Status s = j.replay([&](journal::Lsn, std::string_view payload) -> Status {
     auto ts = apply_meta_batch(payload, state);
     if (!ts.ok()) return Status{ts.error()};
     last_ts = *ts;
-    ++replayed;
     return {};
   });
   if (!s.ok()) return s;
@@ -68,10 +66,14 @@ Status StorageManager::attach_journal(journal::Journal& j, bool rebase_clock) {
   }
   journal_ = &j;
   batch_.clear();
+  const journal::JournalStats st = j.stats();
   NEST_LOG_INFO("storage",
-                "journal attached: snapshot lsn %llu, %llu records replayed",
-                static_cast<unsigned long long>(j.snapshot_lsn()),
-                static_cast<unsigned long long>(replayed));
+                "journal attached: snapshot lsn %llu, recovered_records %llu, "
+                "recovered_bytes %llu, recovery_us %lld",
+                static_cast<unsigned long long>(st.snapshot_lsn),
+                static_cast<unsigned long long>(st.recovered_records),
+                static_cast<unsigned long long>(st.recovered_bytes),
+                static_cast<long long>(st.recovery_time / kMicrosecond));
   return {};
 }
 
@@ -628,7 +630,7 @@ Status StorageManager::lot_set_replicas_locked(const Principal& who, LotId id,
     return Status{Errc::permission_denied, "not lot owner"};
   }
   lot->replicas = replicas;
-  lots_.restore_lot(*lot);
+  lots_.restore_lot(std::move(*lot));
   record_lot_locked(id);
   return {};
 }
@@ -659,7 +661,7 @@ Status StorageManager::lot_set_pin_locked(const Principal& who, LotId id,
   if (!owns_lot_locked(who, *lot))
     return Status{Errc::permission_denied, "not lot owner"};
   lot->pinned = pinned;
-  lots_.restore_lot(*lot);
+  lots_.restore_lot(std::move(*lot));
   record_lot_locked(id);
   return {};
 }

@@ -77,7 +77,8 @@ class StorageManager {
 
   // --- Durable metadata journal ---
   // Recover lot/ACL/quota state from `j` (newest snapshot, then the
-  // record tail), then route every later metadata mutation through it.
+  // record tail), free the journal's recovery buffers, then route every
+  // later metadata mutation through it.
   // Must run before the server serves requests. When `rebase_clock` is
   // set, recovered timestamps are shifted onto the current clock so lots
   // keep the remaining duration they had at the last journaled record

@@ -21,9 +21,12 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,9 +35,13 @@
 #include "client/ftp_client.h"
 #include "client/http_client.h"
 #include "client/nfs_client.h"
+#include "common/clock.h"
 #include "common/string_util.h"
+#include "journal/journal.h"
 #include "net/socket.h"
 #include "server/nest_server.h"
+#include "storage/memfs.h"
+#include "storage/storage_manager.h"
 
 namespace nest {
 namespace {
@@ -637,6 +644,11 @@ TEST_F(ConformanceSmallServerTest, LotExhaustionIsNoSpace) {
 // the sendfile path (MemFs lends no fd), and the journal is live. Every
 // byte is compared, the per-class byte counts must account for exactly
 // the bytes the clients moved, and the server must then stop cleanly.
+//
+// The server starts on a seeded journal (live lots plus churned ones, no
+// snapshot) and is stopped and restarted once before the mix, so the mix
+// runs on state that recovery rebuilt, on the append segment that
+// recovery opened.
 
 // Deterministic bytes (splitmix64), distinct per seed. Unlike the
 // 256-byte-periodic conf_payload(), a block delivered at the wrong
@@ -660,28 +672,76 @@ class ConformanceBulkMixTest : public ::testing::Test {
   // Not a multiple of any block size, so every wire moves a short tail.
   static constexpr std::size_t kBytes = (1u << 20) + 4321;
 
+  static constexpr std::int64_t kCapacity = 200'000'000;
+  static constexpr int kLiveLots = 200;
+  static constexpr int kChurnedLots = 2'000;
+
   void SetUp() override {
     dir_ = std::filesystem::temp_directory_path() /
            ("nest_bulkmix_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_ / "root");
-    server::NestServerOptions o;
-    o.backend = "local";
-    o.root_dir = (dir_ / "root").string();
-    o.journal_dir = (dir_ / "journal").string();
-    o.capacity = 200'000'000;
-    auto s = server::NestServer::start(std::move(o));
-    ASSERT_TRUE(s.ok()) << s.error().to_string();
-    server_ = std::move(*s);
-    server_->gsi().add_user("alice", "s");
+    ASSERT_NO_FATAL_FAILURE(seed_journal());
+    ASSERT_NO_FATAL_FAILURE(start());
+    server_->stop();
+    server_.reset();
+    ASSERT_NO_FATAL_FAILURE(start());
   }
   void TearDown() override {
     if (server_) server_->stop();
     std::filesystem::remove_all(dir_);
   }
 
+  void start() {
+    server::NestServerOptions o;
+    o.backend = "local";
+    o.root_dir = (dir_ / "root").string();
+    o.journal_dir = (dir_ / "journal").string();
+    o.capacity = kCapacity;
+    auto s = server::NestServer::start(std::move(o));
+    ASSERT_TRUE(s.ok()) << s.error().to_string();
+    server_ = std::move(*s);
+    server_->gsi().add_user("alice", "s");
+    server_->gsi().add_user("root", "s");
+  }
+
+  // Journals kLiveLots live lots and kChurnedLots created-then-terminated
+  // ones through a StorageManager of its own, and keeps the writer's
+  // serialized state. Its clock stays at 0, so the batches carry no
+  // timestamp and recovery does not rebase: the recovered state must be
+  // the writer's byte for byte. The lots last ten years.
+  void seed_journal() {
+    ManualClock clock;
+    journal::JournalOptions jopts;
+    jopts.dir = (dir_ / "journal").string();
+    jopts.sync = journal::SyncMode::none;  // the bytes are the same
+    auto j = journal::Journal::open(clock, jopts);
+    ASSERT_TRUE(j.ok()) << j.error().to_string();
+    storage::StorageOptions sopts;
+    sopts.journal_snapshot_every = std::numeric_limits<std::uint64_t>::max();
+    storage::StorageManager sm(
+        clock, std::make_unique<storage::MemFs>(clock, kCapacity), sopts);
+    ASSERT_TRUE(sm.attach_journal(**j).ok());
+    const storage::Principal seeder{.name = "seeder",
+                                    .groups = {},
+                                    .authenticated = true,
+                                    .protocol = "chirp"};
+    for (int i = 0; i < kLiveLots + kChurnedLots; ++i) {
+      auto id = sm.lot_create(seeder, 1000, 10 * 365 * 24 * 3600 * kSecond);
+      ASSERT_TRUE(id.ok()) << id.error().to_string();
+      if (i < kLiveLots) {
+        seeded_lots_.insert(*id);
+      } else {
+        ASSERT_TRUE(sm.lot_terminate(seeder, *id).ok());
+      }
+    }
+    seeded_state_ = sm.serialize_meta(0);
+  }
+
   std::filesystem::path dir_;
   std::unique_ptr<server::NestServer> server_;
+  std::set<std::uint64_t> seeded_lots_;
+  std::string seeded_state_;
 };
 
 // One client thread's tally: ops completed and the first failure.
@@ -691,6 +751,23 @@ struct MixTally {
 };
 
 TEST_F(ConformanceBulkMixTest, FourWiresMoveEveryByteExactly) {
+  // The restarted server recovered the writer's state byte for byte, and
+  // the superuser lists exactly the live seeded lots.
+  EXPECT_EQ(server_->storage().serialize_meta(0), seeded_state_);
+  {
+    auto root = ChirpClient::connect("127.0.0.1", server_->chirp_port(),
+                                     "root", "s");
+    ASSERT_TRUE(root.ok()) << root.error().to_string();
+    auto listing = root->lot_list();
+    ASSERT_TRUE(listing.ok()) << listing.error().to_string();
+    std::set<std::uint64_t> listed;
+    std::istringstream lines(*listing);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("id=", 0) == 0)
+        listed.insert(std::stoull(line.substr(3)));
+    }
+    EXPECT_EQ(listed, seeded_lots_);
+  }
   const std::string payload = seeded_payload(kBytes, 1);
   {
     auto ctrl = ChirpClient::connect("127.0.0.1", server_->chirp_port(),

@@ -1,6 +1,8 @@
-// Recovery tests for the durable metadata journal: record codec, torn-tail
-// truncation, snapshot + tail replay, crash-point fault injection, batched
-// commits, and a full server restart over Chirp. The binary carries the
+// Recovery tests for the durable metadata journal: CRC32C (both
+// implementations), record and batch codec, the on-disk format pinned by a
+// journal an earlier build wrote, torn-tail truncation, snapshot + tail
+// replay, crash-point fault injection, batched commits, and a full server
+// restart over Chirp. The binary carries the
 // `recovery` CTest label, which tier-1 reruns under both asan and tsan
 // (the latter for the leader/follower commit).
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "journal/journal.h"
 #include "journal/record.h"
 #include "server/nest_server.h"
+#include "storage/journal_ops.h"
 #include "storage/memfs.h"
 #include "storage/storage_manager.h"
 
@@ -76,6 +79,69 @@ TEST(Crc32c, KnownVector) {
             journal::crc32c(msg.data(), msg.size() - 1));
 }
 
+using CrcFn = std::uint32_t (*)(const void*, std::size_t, std::uint32_t);
+
+// RFC 3720 section B.4 test vectors, plus the standard check value.
+void expect_rfc3720_vectors(CrcFn crc) {
+  std::string zeros(32, '\0'), ones(32, '\xff'), up(32, '\0'), down(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    up[static_cast<std::size_t>(i)] = static_cast<char>(i);
+    down[static_cast<std::size_t>(i)] = static_cast<char>(31 - i);
+  }
+  EXPECT_EQ(crc(zeros.data(), 32, 0), 0x8A9136AAu);
+  EXPECT_EQ(crc(ones.data(), 32, 0), 0x62A8AB43u);
+  EXPECT_EQ(crc(up.data(), 32, 0), 0x46DD794Eu);
+  EXPECT_EQ(crc(down.data(), 32, 0), 0x113FDB5Cu);
+  EXPECT_EQ(crc("123456789", 9, 0), 0xE3069283u);
+}
+
+TEST(Crc32c, TableMatchesRfc3720Vectors) {
+  expect_rfc3720_vectors(&journal::crc32c_table);
+}
+
+TEST(Crc32c, HardwareMatchesRfc3720Vectors) {
+  if (!journal::crc32c_hw_available()) GTEST_SKIP() << "no SSE4.2";
+  expect_rfc3720_vectors(&journal::crc32c_hw);
+}
+
+// The table loop is the reference: the instruction path must agree at
+// every length around its 8-byte steps, at every misalignment, and when
+// chained through a seed. Each input sits in its own exact-size buffer so
+// an over-read shows under AddressSanitizer.
+TEST(Crc32c, HardwareMatchesTableAtEveryLengthOffsetAndSeed) {
+  if (!journal::crc32c_hw_available()) GTEST_SKIP() << "no SSE4.2";
+  std::string src(1024 + 8, '\0');
+  std::uint32_t x = 12345;
+  for (char& c : src) {
+    x = x * 1103515245u + 12345u;
+    c = static_cast<char>(x >> 24);
+  }
+  int mismatches = 0;
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      std::vector<char> buf(off + len);
+      std::copy_n(src.data(), off + len, buf.begin());
+      const char* p = buf.data() + off;
+      const std::uint32_t seed = static_cast<std::uint32_t>(len * 2654435761u);
+      if (journal::crc32c_hw(p, len, 0) != journal::crc32c_table(p, len, 0) ||
+          journal::crc32c_hw(p, len, seed) !=
+              journal::crc32c_table(p, len, seed)) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Chaining: crc(b, crc(a)) == crc(a || b) at every split point.
+  const std::uint32_t whole = journal::crc32c_hw(src.data(), 1000, 0);
+  EXPECT_EQ(whole, journal::crc32c_table(src.data(), 1000, 0));
+  for (std::size_t split = 0; split <= 1000; ++split) {
+    const std::uint32_t head = journal::crc32c_hw(src.data(), split, 0);
+    ASSERT_EQ(journal::crc32c_hw(src.data() + split, 1000 - split, head),
+              whole)
+        << split;
+  }
+}
+
 TEST(RecordCodec, RoundTrip) {
   journal::RecordWriter w;
   w.u8(7);
@@ -87,15 +153,17 @@ TEST(RecordCodec, RoundTrip) {
   const std::string bytes = w.take();
 
   journal::RecordReader r(bytes);
-  EXPECT_EQ(r.u8().value(), 7);
-  EXPECT_EQ(r.u32().value(), 0xdeadbeefu);
-  EXPECT_EQ(r.u64().value(), 1ull << 60);
-  EXPECT_EQ(r.i64().value(), -42);
-  EXPECT_EQ(r.str().value(), "hello");
-  EXPECT_EQ(r.str().value(), "");
+  EXPECT_EQ(r.u8(), 7);
+  EXPECT_EQ(r.u32(), 0xdeadbeefu);
+  EXPECT_EQ(r.u64(), 1ull << 60);
+  EXPECT_EQ(r.i64(), -42);
+  EXPECT_EQ(r.str(), "hello");
+  EXPECT_EQ(r.str(), "");
   EXPECT_TRUE(r.done());
-  // Underflow fails instead of misparsing.
-  EXPECT_EQ(r.u32().code(), Errc::protocol_error);
+  EXPECT_TRUE(r.good());
+  // Underflow reads 0 and latches the failure instead of misparsing.
+  EXPECT_EQ(r.u32(), 0u);
+  EXPECT_FALSE(r.good());
 }
 
 TEST(RecordCodec, TruncatedStringRejected) {
@@ -104,7 +172,140 @@ TEST(RecordCodec, TruncatedStringRejected) {
   std::string bytes = w.take();
   bytes.resize(bytes.size() - 2);
   journal::RecordReader r(bytes);
-  EXPECT_EQ(r.str().code(), Errc::protocol_error);
+  EXPECT_EQ(r.str(), "");
+  EXPECT_FALSE(r.good());
+}
+
+TEST(RecordCodec, UnderflowLatchesAndConsumesNothing) {
+  journal::RecordWriter w;
+  w.u8(1);
+  w.u8(2);
+  w.u8(3);
+  const std::string bytes = w.take();
+  journal::RecordReader r(bytes);
+  EXPECT_EQ(r.u32(), 0u);  // three bytes left: too few
+  EXPECT_FALSE(r.good());
+  EXPECT_EQ(r.remaining(), 3u);
+  // Bytes remain, but the failure is sticky: every later read is 0.
+  EXPECT_EQ(r.u8(), 0);
+  EXPECT_EQ(r.str(), "");
+  EXPECT_FALSE(r.good());
+}
+
+// A batch carrying every record type; cut anywhere short of its end, it
+// must fail with protocol_error. Each prefix is copied into its own
+// exact-size buffer so an over-read shows under AddressSanitizer.
+TEST(MetaBatchCodec, EveryTruncatedPrefixIsAProtocolError) {
+  storage::Lot lot;
+  lot.id = 7;
+  lot.owner = "alice";
+  lot.capacity = 300;
+  lot.used = 30;
+  lot.expiry = 10 * kSecond;
+  lot.files = {{"/a", 10}, {"/b", 20}};
+  storage::MetaBatch b;
+  b.lot_put(lot);
+  b.lot_expire(7);
+  b.file_release("/a");
+  b.acl_put("/", "[ Principal = \"user:bob\"; Rights = \"rl\"; ]");
+  b.acl_clear("/", "user:bob");
+  b.quota_put("alice", 1000, 30);
+  b.hsm_put("/cold", 5, "alice");
+  b.hsm_erase("/cold");
+  b.lot_erase(7);
+  const std::string payload = b.seal(42);
+
+  ManualClock clock;
+  const auto apply = [&](std::size_t n) {
+    std::vector<char> buf(payload.begin(),
+                          payload.begin() + static_cast<std::ptrdiff_t>(n));
+    storage::LotManager lots(clock, 1'000'000);
+    storage::AccessControl acl;
+    storage::QuotaLedger quota;
+    hsm::ResidencyMap residency;
+    return storage::apply_meta_batch(
+        std::string_view(buf.data(), n),
+        storage::MetaState{lots, acl, quota, &residency});
+  };
+  const auto full = apply(payload.size());
+  ASSERT_TRUE(full.ok()) << full.error().to_string();
+  EXPECT_EQ(*full, 42);
+  for (std::size_t n = 0; n < payload.size(); ++n) {
+    const auto cut = apply(n);
+    ASSERT_FALSE(cut.ok()) << "prefix " << n;
+    EXPECT_EQ(cut.code(), Errc::protocol_error) << "prefix " << n;
+  }
+}
+
+// ---------- on-disk format ----------
+
+// A journal directory written by the encoder as of commit b6a352f (segment
+// format 1, snapshot format 3): three batches, a snapshot at LSN 3 (which
+// compacted the first segment away), then five batches covering every
+// record type. kEarlierState is what that build's attach_journal +
+// serialize_meta(0) produced from it. Recovery must reproduce it byte for
+// byte and leave both files as they were.
+constexpr std::string_view kEarlierSegment =
+    "4e53544a010000000400000000000000150000002d652f760400000000000000"
+    "00f2052a010000000100000003020000000000000015000000ecb70e2d050000"
+    "000000000000bca065010000000100000004040000002f672f7878000000b384"
+    "f02a060000000000000000863ba1010000000200000001050000000000000003"
+    "000000626f6200e8030000000000000a00000000000000005847f80d00000000"
+    "00863ba10100000000000000000000000002000000060000002f622f6f6e6504"
+    "00000000000000060000002f622f74776f060000000000000002010000000000"
+    "00005e000000c39656cc07000000000000000050d6dc01000000020000000601"
+    "0000002f08000000757365723a626f6205050000002f64617461320000005b20"
+    "5072696e636970616c203d202267726f75703a70687973696373223b20526967"
+    "687473203d2022726c776964223b205d4d000000568778290800000000000000"
+    "001a7118020000000300000009070000002f636f6c642f7a08070000002f636f"
+    "6c642f777b0000000000000005000000616c6963650703000000626f62e80300"
+    "00000000000a00000000000000";
+constexpr std::string_view kEarlierSnapshot =
+    "4e4e535001000000030000000000000000286bee00000000e439fd75cc010000"
+    "0300000000286bee000000000300000000000000020000000100000000000000"
+    "05000000616c696365002c01000000000000640000000000000000e40b540200"
+    "00000000ca9a3b0000000002000000000000000001000000020000002f616400"
+    "0000000000000200000000000000070000007068797369637301c80000000000"
+    "00004b0000000000000000943577000000000000943577000000000000000000"
+    "0000000102000000040000002f672f783200000000000000040000002f672f79"
+    "190000000000000003000000010000002f350000005b205072696e636970616c"
+    "203d202273797374656d3a6175746875736572223b20526967687473203d2022"
+    "72776c696461223b205d010000002f300000005b205072696e636970616c203d"
+    "202273797374656d3a616e7975736572223b20526967687473203d2022726c22"
+    "3b205d010000002f2a0000005b205072696e636970616c203d2022757365723a"
+    "626f62223b20526967687473203d2022726c223b205d0200000005000000616c"
+    "69636588130000000000006400000000000000050000006361726f6c00000000"
+    "00000000001000000000000001000000070000002f636f6c642f7a0010000000"
+    "000000050000006361726f6c";
+constexpr std::string_view kEarlierState =
+    "0300000000000000000000000600000000000000020000000200000000000000"
+    "0700000070687973696373011900000000000000190000000000000000943577"
+    "0000000001009435770000000000000000000000000101000000040000002f67"
+    "2f791900000000000000050000000000000003000000626f6200e80300000000"
+    "00000a00000000000000005847f80d0000000000863ba1010000000000000000"
+    "0000000002000000060000002f622f6f6e650400000000000000060000002f62"
+    "2f74776f060000000000000003000000010000002f350000005b205072696e63"
+    "6970616c203d202273797374656d3a6175746875736572223b20526967687473"
+    "203d202272776c696461223b205d010000002f300000005b205072696e636970"
+    "616c203d202273797374656d3a616e7975736572223b20526967687473203d20"
+    "22726c223b205d050000002f64617461320000005b205072696e636970616c20"
+    "3d202267726f75703a70687973696373223b20526967687473203d2022726c77"
+    "6964223b205d0300000005000000616c69636588130000000000006400000000"
+    "00000003000000626f62e8030000000000000a00000000000000050000006361"
+    "726f6c0000000000000000001000000000000001000000070000002f636f6c64"
+    "2f777b0000000000000005000000616c696365";
+
+std::string from_hex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  return out;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f), {});
 }
 
 // ---------- journal append / replay ----------
@@ -471,6 +672,73 @@ int run_script(storage::StorageManager& sm, ManualClock& clock,
 }
 constexpr int kScriptOps = 12;
 
+TEST_F(JournalTest, RecoversJournalWrittenByEarlierEncoder) {
+  fs::create_directories(dir_);
+  const std::string seg = dir_ + "/seg-0000000000000004.wal";
+  const std::string snap = dir_ + "/snap-0000000000000003.snp";
+  std::ofstream(seg, std::ios::binary) << from_hex(kEarlierSegment);
+  std::ofstream(snap, std::ios::binary) << from_hex(kEarlierSnapshot);
+  ManualClock clock;
+  journal::JournalOptions opts;
+  opts.dir = dir_;
+  auto j = journal::Journal::open(clock, opts);
+  ASSERT_TRUE(j.ok()) << j.error().to_string();
+  EXPECT_EQ((*j)->snapshot_lsn(), 3u);
+  const auto st = (*j)->stats();
+  EXPECT_EQ(st.last_lsn, 8u);
+  EXPECT_EQ(st.records_since_snapshot, 5u);
+  EXPECT_EQ(st.recovered_records, 5u);
+  EXPECT_EQ(st.recovered_bytes,
+            (kEarlierSegment.size() + kEarlierSnapshot.size()) / 2);
+  storage::StorageManager sm(clock, std::make_unique<storage::MemFs>(clock),
+                             storage::StorageOptions{});
+  ASSERT_TRUE(sm.attach_journal(**j, /*rebase_clock=*/false).ok());
+  EXPECT_EQ(sm.serialize_meta(0), from_hex(kEarlierState));
+  // Start-up wrote nothing into the recovered files.
+  EXPECT_EQ(read_bytes(seg), from_hex(kEarlierSegment));
+  EXPECT_EQ(read_bytes(snap), from_hex(kEarlierSnapshot));
+  EXPECT_EQ((*j)->append_commit("next").value(), 9u);
+}
+
+// The recovery stats count the tail past the snapshot and the bytes read;
+// drop_recovered_tail() releases the snapshot and segment buffers.
+TEST_F(JournalTest, RecoveryStatsAndDropReleaseTheBuffers) {
+  ManualClock clock;
+  journal::JournalOptions opts;
+  opts.dir = dir_;
+  {
+    auto j = journal::Journal::open(clock, opts);
+    ASSERT_TRUE(j.ok());
+    ASSERT_TRUE((*j)->append_commit("r1").ok());
+    ASSERT_TRUE((*j)->append_commit("r2").ok());
+    ASSERT_TRUE((*j)->write_snapshot("snapshot-state").ok());
+    for (const char* rec : {"r3", "r4", "r5"})
+      ASSERT_TRUE((*j)->append_commit(rec).ok());
+  }
+  std::uint64_t on_disk = 0;
+  for (const auto& e : fs::directory_iterator(dir_)) on_disk += e.file_size();
+  auto j = journal::Journal::open(clock, opts);
+  ASSERT_TRUE(j.ok());
+  const auto st = (*j)->stats();
+  EXPECT_EQ(st.recovered_records, 3u);
+  EXPECT_EQ(st.recovered_bytes, on_disk);
+  ASSERT_TRUE((*j)->snapshot_payload().has_value());
+  EXPECT_EQ(*(*j)->snapshot_payload(), "snapshot-state");
+  std::vector<std::string> got;
+  const auto collect = [&](journal::Lsn, std::string_view p) {
+    got.emplace_back(p);
+    return Status{};
+  };
+  ASSERT_TRUE((*j)->replay(collect).ok());
+  EXPECT_EQ(got, (std::vector<std::string>{"r3", "r4", "r5"}));
+  (*j)->drop_recovered_tail();
+  EXPECT_FALSE((*j)->snapshot_payload().has_value());
+  got.clear();
+  ASSERT_TRUE((*j)->replay(collect).ok());
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ((*j)->stats().recovered_records, 3u);
+}
+
 TEST_F(JournalTest, ScriptIsCrashFreeBaseline) {
   ManualClock clock;
   auto sm = make_sm(clock);
@@ -688,6 +956,13 @@ TEST_F(JournalTest, ServerRestartPreservesLotsAndAcls) {
   auto stat = c->journal_stat();
   ASSERT_TRUE(stat.ok());
   EXPECT_NE(stat->find("segments="), std::string::npos);
+  // /stats reports what start-up recovered: the lot and the ACL entry.
+  auto stats = c->stats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats->find("\"recovered_records\":2,"), std::string::npos)
+      << *stats;
+  EXPECT_NE(stats->find("\"recovery_us\":"), std::string::npos);
+  EXPECT_NE(stats->find("\"journal_flush\":{"), std::string::npos);
   ASSERT_TRUE(c->acl_clear("/", "user:bob").ok());
   auto cleared = c->acl_get("/");
   ASSERT_TRUE(cleared.ok());
