@@ -91,7 +91,6 @@ const char* rank_name(Rank r) noexcept {
     case Rank::jbos_conn: return "jbos_conn";
     case Rank::kangaroo_spool: return "kangaroo_spool";
     case Rank::nfs_handles: return "nfs_handles";
-    case Rank::dispatcher_pub: return "dispatcher_pub";
     case Rank::hsm_worker: return "hsm_worker";
     case Rank::executor_throttle: return "executor_throttle";
     case Rank::dispatcher_load: return "dispatcher_load";

@@ -51,7 +51,6 @@ enum class Rank : int {
   jbos_conn = 12,            // jbos::MiniServer connection registry
   kangaroo_spool = 14,       // KangarooMover spool queue
   nfs_handles = 16,          // NFS file-handle id maps
-  dispatcher_pub = 18,       // Dispatcher publisher thread control
   hsm_worker = 19,           // HsmManager background worker control
   executor_throttle = 22,    // TransferExecutor token bucket
   dispatcher_load = 24,      // Dispatcher rolling load trackers
@@ -60,7 +59,7 @@ enum class Rank : int {
   cluster_membership = 27,   // cluster::PeerTable peer/liveness view
   cluster_selector = 28,     // cluster::ReplicaSelector EWMA state
   hsm_state = 29,            // hsm::RecallManager in-flight recall table
-  storage_meta = 30,         // StorageManager lot/ACL/quota state
+  storage_meta = 30,         // StorageManager lot/ACL/residency state
   storage_file = 34,         // MemFs per-file payload (shared)
   cluster_ship = 36,         // cluster replication ship queue + cursors
   journal = 38,              // journal::Journal append/commit state

@@ -8,11 +8,9 @@ namespace {
 
 const char* level_tag(LogLevel lvl) {
   switch (lvl) {
-    case LogLevel::debug: return "DEBUG";
     case LogLevel::info: return "INFO ";
     case LogLevel::warn: return "WARN ";
     case LogLevel::error: return "ERROR";
-    case LogLevel::off: return "OFF  ";
   }
   return "?????";
 }
@@ -21,7 +19,6 @@ const char* level_tag(LogLevel lvl) {
 
 void Logger::write(LogLevel lvl, std::string_view component,
                    std::string_view msg) {
-  if (lvl < level_) return;
   const auto now = std::chrono::system_clock::now().time_since_epoch();
   const auto ms =
       std::chrono::duration_cast<std::chrono::milliseconds>(now).count();
@@ -35,7 +32,6 @@ void Logger::write(LogLevel lvl, std::string_view component,
 
 void Logger::writef(LogLevel lvl, const char* component, const char* fmt,
                     ...) {
-  if (lvl < level_) return;
   char buf[1024];
   va_list args;
   va_start(args, fmt);

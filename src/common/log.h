@@ -1,7 +1,9 @@
 // Minimal leveled logger. NeST is a long-running daemon; components log
-// through here rather than writing to stderr directly so a server embedding
-// the library can redirect or silence output. printf-style formatting
-// (GCC 12 ships no <format>).
+// through here rather than writing to stderr directly, so every line
+// carries a timestamp, a level and a component, and concurrent lines never
+// interleave. Every level prints: an INFO line marks a rare lifecycle event
+// (server up, journal recovered, failpoint armed, follower re-seeded), not
+// per-request chatter. printf-style formatting (GCC 12 ships no <format>).
 #pragma once
 
 #include <cstdarg>
@@ -12,7 +14,7 @@
 
 namespace nest {
 
-enum class LogLevel { debug = 0, info = 1, warn = 2, error = 3, off = 4 };
+enum class LogLevel { info, warn, error };
 
 class Logger {
  public:
@@ -21,9 +23,6 @@ class Logger {
     return l;
   }
 
-  void set_level(LogLevel lvl) noexcept { level_ = lvl; }
-  LogLevel level() const noexcept { return level_; }
-
   void write(LogLevel lvl, std::string_view component, std::string_view msg);
 
   __attribute__((format(printf, 4, 5))) void writef(LogLevel lvl,
@@ -31,14 +30,10 @@ class Logger {
                                                     const char* fmt, ...);
 
  private:
-  LogLevel level_ = LogLevel::warn;
   // Innermost rank: components log while holding any subsystem lock.
   Mutex mu_{lockrank::Rank::logger, "log.mu"};
 };
 
-#define NEST_LOG_DEBUG(component, ...)                                     \
-  ::nest::Logger::instance().writef(::nest::LogLevel::debug, component,    \
-                                    __VA_ARGS__)
 #define NEST_LOG_INFO(component, ...)                                      \
   ::nest::Logger::instance().writef(::nest::LogLevel::info, component,     \
                                     __VA_ARGS__)

@@ -33,7 +33,7 @@ enum class Errc {
   is_dir,
   permission_denied,
   not_authenticated,
-  no_space,          // lot/quota capacity exhausted
+  no_space,          // lot capacity or unguaranteed space exhausted
   lot_expired,
   lot_unknown,
   invalid_argument,

@@ -28,8 +28,6 @@ Dispatcher::Dispatcher(Clock& clock, storage::StorageManager& storage,
   core_.set_admission(&admission_);
 }
 
-Dispatcher::~Dispatcher() { stop_publishing(); }
-
 Reply Dispatcher::execute(const NestRequest& req) {
   obs::Span span(obs::Layer::dispatcher, protocol::op_name(req.op));
   const Nanos start = clock_.now();
@@ -404,34 +402,6 @@ void Dispatcher::publish_once(discovery::Collector& collector) {
     return;
   }
   collector.advertise(options_.advertised_name, snapshot_ad());
-}
-
-void Dispatcher::start_publishing(discovery::Collector& collector) {
-  stop_publishing();
-  {
-    MutexLock lock(pub_mu_);
-    pub_stop_ = false;
-  }
-  publisher_ = std::thread([this, &collector] {
-    MutexLock lock(pub_mu_);
-    while (!pub_stop_) {
-      lock.unlock();
-      publish_once(collector);
-      lock.lock();
-      pub_cv_.wait_for(
-          lock, std::chrono::nanoseconds(options_.publish_interval),
-          [this] { return pub_stop_; });
-    }
-  });
-}
-
-void Dispatcher::stop_publishing() {
-  {
-    MutexLock lock(pub_mu_);
-    pub_stop_ = true;
-  }
-  pub_cv_.notify_all();
-  if (publisher_.joinable()) publisher_.join();
 }
 
 }  // namespace nest::dispatcher

@@ -13,7 +13,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "discovery/collector.h"
@@ -53,7 +52,6 @@ class Dispatcher {
   struct Options {
     int transfer_slots = 8;
     std::string advertised_name = "nest";
-    Nanos publish_interval = 5 * kSecond;
     // Overload shedding at transfer approval (admission_target_ms /
     // admission_max_queue in the server config; disabled by default).
     transfer::AdmissionOptions admission;
@@ -63,7 +61,6 @@ class Dispatcher {
              transfer::TransferManager& tm);
   Dispatcher(Clock& clock, storage::StorageManager& storage,
              transfer::TransferManager& tm, Options options);
-  ~Dispatcher();
 
   // Execute a non-transfer request synchronously.
   Reply execute(const protocol::NestRequest& req);
@@ -98,10 +95,9 @@ class Dispatcher {
   // the Chirp STATS op, and `nest-cli stats`.
   std::string stats_json() const;
 
-  // Periodic ClassAd publishing into a discovery collector; stops on
-  // destruction. One publisher at a time.
-  void start_publishing(discovery::Collector& collector);
-  void stop_publishing();
+  // Publish the availability ad into a discovery collector once. nestd
+  // runs no collector of its own: peers and clients pull the same ad
+  // through the Chirp query_ad op and the cluster heartbeat.
   void publish_once(discovery::Collector& collector);
 
  private:
@@ -117,8 +113,8 @@ class Dispatcher {
     std::map<std::string, double> class_mbps;  // per protocol class
   };
   // Sample every tracker once at `now` (under load_mu_). Every stats
-  // surface calls this, so whichever of the publisher / /stats pollers
-  // runs keeps the windows warm.
+  // surface calls this, so whichever ad or /stats poller runs keeps the
+  // windows warm.
   LoadView observe_load(Nanos now) const;
 
   Clock& clock_;
@@ -141,11 +137,6 @@ class Dispatcher {
   mutable std::map<std::string, obs::RollingRate> proto_rates_
       GUARDED_BY(load_mu_);
   mutable obs::LoadAverage load_ GUARDED_BY(load_mu_);
-
-  std::thread publisher_;
-  Mutex pub_mu_{lockrank::Rank::dispatcher_pub, "dispatcher.pub"};
-  CondVar pub_cv_;
-  bool pub_stop_ GUARDED_BY(pub_mu_) = false;
 };
 
 }  // namespace nest::dispatcher

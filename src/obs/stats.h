@@ -24,9 +24,8 @@ namespace nest::obs {
 
 // Average rate (units/sec) of a monotone cumulative counter over a
 // trailing time window. observe() both samples and reports, so callers
-// that poll periodically (the ClassAd publisher) maintain the window for
-// free. Mutex-guarded: callers are the publisher thread and stats
-// queries, never the data path.
+// that poll periodically (ad and /stats queries) maintain the window for
+// free. Mutex-guarded: callers are those queries, never the data path.
 class RollingRate {
  public:
   explicit RollingRate(Nanos window = 30 * kSecond) : window_(window) {}

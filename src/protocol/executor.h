@@ -57,7 +57,7 @@ class TransferExecutor {
                    net::TcpStream& stream, std::int64_t size);
 
   // FTP STOR: receive until the peer closes its data connection; returns
-  // the byte count (the caller settles lot/quota accounting afterwards).
+  // the byte count (the caller settles lot accounting afterwards).
   NEST_NODISCARD
   Result<std::int64_t> recv_until_eof(const std::string& protocol,
                                       const storage::TransferTicket& ticket,

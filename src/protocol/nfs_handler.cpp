@@ -297,7 +297,7 @@ void NfsService::handle_nfs(const xdr::RpcCall& call, xdr::Decoder& args,
       // space admission happens per block: re-charge the file's
       // prospective total before the bytes land (charge_written releases
       // the prior charge), mirroring what PUT-style protocols do with a
-      // declared size up front. A block the lots/quota cannot hold is
+      // declared size up front. A block the lots cannot hold is
       // refused with NOSPC and never written.
       const auto old_size = ticket.handle->size();
       const std::int64_t prospective =

@@ -50,7 +50,7 @@ Result<NestdConfig> options_from_config(const Config& cfg) {
     if (!mode.ok()) return mode.error();
     opts.journal_sync = *mode;
   }
-  opts.journal_snapshot_every = static_cast<std::uint64_t>(
+  opts.storage.journal_snapshot_every = static_cast<std::uint64_t>(
       cfg.get_int("journal_snapshot_every", 4096));
   if (cfg.has("journal_sync") && opts.journal_dir.empty()) {
     return Error{Errc::invalid_argument,

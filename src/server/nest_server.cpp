@@ -103,8 +103,6 @@ Status NestServer::init() {
   } else {
     return Status{Errc::invalid_argument, "unknown backend '" + backend + "'"};
   }
-  if (!options_.journal_dir.empty())
-    options_.storage.journal_snapshot_every = options_.journal_snapshot_every;
   storage_ = std::make_unique<storage::StorageManager>(
       RealClock::instance(), std::move(fs), options_.storage);
 
@@ -136,7 +134,7 @@ Status NestServer::init() {
     storage_->attach_cold_tier(std::move(cold));
   }
 
-  // Metadata journal: recover lot/ACL/quota state and install the
+  // Metadata journal: recover lot/ACL/residency state and install the
   // write-ahead barrier before any endpoint can accept a request.
   if (!options_.journal_dir.empty()) {
     journal::JournalOptions jopts;
@@ -363,7 +361,6 @@ void NestServer::stop() {
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   for (auto& [id, t] : conns) t.join();
-  if (dispatcher_) dispatcher_->stop_publishing();
 }
 
 NestServer::~NestServer() { stop(); }

@@ -102,13 +102,12 @@ struct NestServerOptions {
   // Per-connection read timeout, ms: a client silent this long is dropped.
   int conn_read_timeout_ms = 30'000;
 
-  // Metadata journal directory; empty = no journal (lot/ACL/quota state
+  // Metadata journal directory; empty = no journal (lot/ACL/residency state
   // dies with the process). With a journal, recovery runs before any
   // endpoint binds, and every metadata mutation is acknowledged only
   // once durable per journal_sync.
   std::string journal_dir;
   journal::SyncMode journal_sync = journal::SyncMode::always;
-  std::uint64_t journal_snapshot_every = 4096;  // compaction cadence
 
   // Failpoints to arm at startup, "name=spec;name=spec" (action grammar:
   // docs/fault-injection.md). Armed in init() before any endpoint binds;

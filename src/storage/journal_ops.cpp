@@ -16,7 +16,11 @@ enum class Tag : std::uint8_t {
   file_release = 4,
   acl_put = 5,
   acl_clear = 6,
-  quota_put = 7,
+  // Retired: a quota account (owner, limit, used), written by builds that
+  // metered writes through a user-level quota ledger. Lots are the only
+  // space ledger now; replay reads past this record so those builds'
+  // journals still recover. Nothing writes it, and no record may reuse 7.
+  retired_quota = 7,
   hsm_put = 8,
   hsm_erase = 9,
 };
@@ -69,6 +73,14 @@ Lot decode_lot(RecordReader& r) {
   return lot;
 }
 
+// Reads past one retired quota account (Tag::retired_quota; the
+// snapshot's quota section holds the same triple per account) with the
+// bounds checks of every getter, and installs nothing.
+void skip_retired_quota(RecordReader& r) {
+  (void)r.str();  // owner
+  r.skip(2 * sizeof(std::int64_t));  // limit, used
+}
+
 Error underflow() {
   return Error{Errc::protocol_error, "journal record underflow"};
 }
@@ -112,15 +124,6 @@ void MetaBatch::acl_clear(const std::string& dir,
   body_.u8(static_cast<std::uint8_t>(Tag::acl_clear));
   body_.str(dir);
   body_.str(principal);
-  ++count_;
-}
-
-void MetaBatch::quota_put(const std::string& owner, std::int64_t limit,
-                          std::int64_t used) {
-  body_.u8(static_cast<std::uint8_t>(Tag::quota_put));
-  body_.str(owner);
-  body_.i64(limit);
-  body_.i64(used);
   ++count_;
 }
 
@@ -204,13 +207,9 @@ Result<Nanos> apply_meta_batch(std::string_view payload,
         (void)state.acl.clear_entries(std::string(dir), std::string(spec));
         break;
       }
-      case Tag::quota_put: {
-        const std::string_view owner = r.str();
-        const std::int64_t limit = r.i64();
-        const std::int64_t used = r.i64();
-        if (r.good()) state.quota.restore(std::string(owner), limit, used);
+      case Tag::retired_quota:
+        skip_retired_quota(r);
         break;
-      }
       case Tag::hsm_put: {
         const std::string_view path = r.str();
         const std::int64_t size = r.i64();
@@ -250,13 +249,9 @@ std::string encode_meta_snapshot(Nanos now, const MetaState& state) {
     w.str(dir);
     w.str(text);
   }
-  const auto& accounts = state.quota.accounts();
-  w.u32(static_cast<std::uint32_t>(accounts.size()));
-  for (const auto& [owner, acct] : accounts) {
-    w.str(owner);
-    w.i64(acct.limit);
-    w.i64(acct.used);
-  }
+  // The retired quota section (see Tag::retired_quota), always empty: the
+  // count keeps snapshot format 3 readable by earlier builds.
+  w.u32(0);
   if (state.residency != nullptr) {
     // Snapshot only the stable entries: a snapshot taken mid-migration
     // must resolve the same way a crash would (hot copy still
@@ -306,13 +301,10 @@ Result<Nanos> apply_meta_snapshot(std::string_view payload,
   }
   if (!r.good()) return underflow();
   state.acl.import_entries(entries);
+  // Earlier builds wrote quota accounts here; read past them.
   const std::uint32_t nquota = r.u32();
-  for (std::uint32_t i = 0; i < nquota && r.good(); ++i) {
-    const std::string_view owner = r.str();
-    const std::int64_t limit = r.i64();
-    const std::int64_t used = r.i64();
-    if (r.good()) state.quota.restore(std::string(owner), limit, used);
-  }
+  for (std::uint32_t i = 0; i < nquota && r.good(); ++i)
+    skip_retired_quota(r);
   const std::uint32_t nhsm = r.u32();
   for (std::uint32_t i = 0; i < nhsm && r.good(); ++i) {
     const std::string_view path = r.str();

@@ -3,15 +3,15 @@
 //
 // A *batch* is one journal record = one client-visible operation. It
 // carries the primitive state mutations the operation performed (full
-// resulting lot/quota states, not deltas), so replay is a blind state
+// resulting lot states, not deltas), so replay is a blind state
 // install: no admission control, no clock consultation, no reclaim — the
 // decisions were made before the crash and their outcomes are what got
 // acknowledged. Batches are atomic by construction (one checksummed
 // frame): recovery either applies all of an operation's mutations or,
 // when the frame is torn, none.
 //
-// A *snapshot* is the full serialized state of the three managers
-// (lots + next id, every ACL entry, every quota account) plus the clock
+// A *snapshot* is the full serialized state of the managers (lots +
+// next id, every ACL entry, the cold-resident files) plus the clock
 // timestamp it was taken at; the journal's compaction uses it to retire
 // old segments.
 #pragma once
@@ -26,7 +26,6 @@
 #include "journal/record.h"
 #include "storage/acl.h"
 #include "storage/lot.h"
-#include "storage/quota.h"
 
 namespace nest::storage {
 
@@ -39,8 +38,6 @@ class MetaBatch {
   void file_release(const std::string& path);
   void acl_put(const std::string& dir, const std::string& entry_text);
   void acl_clear(const std::string& dir, const std::string& principal);
-  void quota_put(const std::string& owner, std::int64_t limit,
-                 std::int64_t used);
   // HSM residency transitions. Only the stable "authoritative copy is
   // cold" state is journaled; migrating/recalling are in-memory and
   // resolved by the recovery scrub.
@@ -61,10 +58,8 @@ class MetaBatch {
 struct MetaState {
   LotManager& lots;
   AccessControl& acl;
-  QuotaLedger& quota;
   // Optional: appliances without a cold tier pass nullptr and hsm
-  // records/sections are skipped (the aggregate default keeps the
-  // pre-HSM three-member initializer lists compiling).
+  // records/sections are skipped.
   hsm::ResidencyMap* residency = nullptr;
 };
 

@@ -131,8 +131,6 @@ class LotManager {
   std::int64_t available_bytes() const;
   std::int64_t total_capacity() const { return total_capacity_; }
 
-  void set_policy(ReclaimPolicy p) { policy_ = p; }
-
  private:
   std::int64_t reclaim(std::int64_t needed);
   // The single place a live lot becomes best-effort; idempotent.

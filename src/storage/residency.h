@@ -7,7 +7,7 @@
 // across the migrate/recall machinery above.
 //
 // The map is owned by the StorageManager and guarded by its metadata mutex;
-// this type itself is unsynchronized, mirroring LotManager/QuotaLedger.
+// this type itself is unsynchronized, mirroring LotManager.
 // Only the STABLE state is journaled: an entry present in the journal means
 // "the authoritative copy of this path is the cold tier". The transient
 // migrating/recalling states exist in memory only — a crash during either
@@ -35,7 +35,7 @@ const char* tier_name(Tier t) noexcept;
 struct ColdEntry {
   Tier tier = Tier::cold;
   std::int64_t size = 0;
-  std::string owner;  // quota account re-charged on recall
+  std::string owner;  // file owner, restored on the recalled hot copy
 };
 
 class ResidencyMap {

@@ -19,7 +19,7 @@ StorageManager::StorageManager(Clock& clock, std::unique_ptr<VirtualFs> fs,
       lots_(clock,
             options.lot_capacity > 0 ? options.lot_capacity
                                      : fs_->total_space(),
-            options.reclaim_policy,
+            ReclaimPolicy::expired_lru,
             // Escape 1/3 (see docs/static-analysis.md): the reclaim
             // callback only runs from LotManager calls made under mu_,
             // but the analysis cannot see through the std::function.
@@ -102,10 +102,6 @@ void StorageManager::record_lot_locked(LotId id) {
   } else {
     batch_.lot_erase(id);
   }
-}
-
-void StorageManager::record_quota_locked(const std::string& owner) {
-  batch_.quota_put(owner, quota_.limit(owner), quota_.usage(owner));
 }
 
 Result<journal::Lsn> StorageManager::seal_batch_locked() {
@@ -193,11 +189,10 @@ Status StorageManager::install_replica_file(const std::string& path,
 Status StorageManager::install_replica_snapshot(std::string_view payload) {
   MutexLock lock(mu_);
   // A snapshot replaces the state wholesale: the follower may hold lots
-  // or accounts the primary has since erased, and restore-on-top would
-  // leak them past the catch-up. (ACLs need no clear: apply_meta_snapshot
-  // imports them wholesale already.)
+  // the primary has since erased, and restore-on-top would leak them past
+  // the catch-up. (ACLs need no clear: apply_meta_snapshot imports them
+  // wholesale already.)
   lots_.clear();
-  quota_.clear();
   residency_.clear();
   auto ts = apply_meta_snapshot(payload, meta_state());
   if (!ts.ok()) return Status{ts.error()};
@@ -279,20 +274,13 @@ Status StorageManager::remove_locked(const Principal& who,
     batch_.hsm_erase(norm);
     lots_.release_file(norm);
     batch_.file_release(norm);
-    // No quota release: the owner's hot-quota charge was already dropped
-    // when the file migrated cold.
     return {};
   }
-  auto st = fs_->stat(path);
   const Status s = fs_->remove(path);
   if (s.ok()) {
     const std::string norm = normalize_path(path);
     lots_.release_file(norm);
     batch_.file_release(norm);
-    if (st.ok() && options_.enforcement == LotEnforcement::nest_managed) {
-      quota_.release(st->owner, st->size);
-      record_quota_locked(st->owner);
-    }
   }
   return s;
 }
@@ -451,23 +439,10 @@ Result<TransferTicket> StorageManager::approve_write_locked(
     return allocs.error();
   }
 
-  if (options_.enforcement == LotEnforcement::nest_managed) {
-    if (auto s = quota_.charge(who.name, size); !s.ok()) {
-      lots_.release_file(norm);
-      batch_.file_release(norm);
-      return s.error();
-    }
-    record_quota_locked(who.name);
-  }
-
   auto handle = fs_->create(norm);
   if (!handle.ok()) {
     lots_.release_file(norm);
     batch_.file_release(norm);
-    if (options_.enforcement == LotEnforcement::nest_managed) {
-      quota_.release(who.name, size);
-      record_quota_locked(who.name);
-    }
     return handle.error();
   }
   fs_->set_owner(norm, who.name);
@@ -508,13 +483,6 @@ Status StorageManager::charge_written_locked(const Principal& who,
   } else {
     return Status{allocs.error()};
   }
-  if (options_.enforcement == LotEnforcement::nest_managed) {
-    // Stream writes are approved with a declared size of 0, so the whole
-    // actual count is charged here.
-    auto s = quota_.charge(who.name, bytes);
-    if (s.ok()) record_quota_locked(who.name);
-    return s;
-  }
   return {};
 }
 
@@ -542,15 +510,7 @@ Result<LotId> StorageManager::lot_create_locked(const Principal& who,
   if (owner.empty())
     return Error{Errc::invalid_argument, "group lot without group"};
   auto id = lots_.create(owner, capacity, duration, group_lot);
-  if (id.ok()) {
-    record_lot_locked(*id);
-    if (options_.enforcement == LotEnforcement::nest_managed) {
-      quota_.set_limit(owner, quota_.limit(owner) < 0
-                                  ? capacity
-                                  : quota_.limit(owner) + capacity);
-      record_quota_locked(owner);
-    }
-  }
+  if (id.ok()) record_lot_locked(*id);
   return id;
 }
 
@@ -724,10 +684,6 @@ Status StorageManager::hsm_commit_migrate(const HsmTicket& t) {
     batch_.hsm_put(t.path, t.size, t.owner);
     lots_.release_file(t.path);
     batch_.file_release(t.path);
-    if (options_.enforcement == LotEnforcement::nest_managed) {
-      quota_.release(t.owner, t.size);
-      record_quota_locked(t.owner);
-    }
     auto sealed = seal_batch_locked();
     if (!sealed.ok()) return Status{sealed.error()};
     lsn = *sealed;
@@ -771,15 +727,9 @@ Result<StorageManager::HsmTicket> StorageManager::hsm_begin_recall(
   if (e->tier != hsm::Tier::cold)
     return Error{Errc::busy, "tier transition in progress"};
   // Re-admission: the recalled bytes come back as a lot-less hot file, so
-  // they must fit the space not guaranteed to live lots and the owner's
-  // quota headroom (the charge itself lands at commit).
+  // they must fit the space not guaranteed to live lots.
   if (e->size > lots_.available_bytes())
     return Error{Errc::no_space, "free space is guaranteed to live lots"};
-  if (options_.enforcement == LotEnforcement::nest_managed) {
-    const std::int64_t limit = quota_.limit(e->owner);
-    if (limit >= 0 && quota_.usage(e->owner) + e->size > limit)
-      return Error{Errc::no_space, "recall would exceed owner quota"};
-  }
   auto src = cold_fs_->open(norm);
   if (!src.ok()) return src.error();
   if (auto s = materialize_parents_locked(*fs_, norm); !s.ok())
@@ -805,10 +755,6 @@ Status StorageManager::hsm_commit_recall(const HsmTicket& t) {
     const auto* e = residency_.find(t.path);
     if (e == nullptr || e->tier != hsm::Tier::recalling)
       return Status{Errc::invalid_argument, "no recall in flight"};
-    if (options_.enforcement == LotEnforcement::nest_managed) {
-      if (auto s = quota_.charge(t.owner, t.size); !s.ok()) return s;
-      record_quota_locked(t.owner);
-    }
     residency_.erase(t.path);
     batch_.hsm_erase(t.path);
     auto sealed = seal_batch_locked();

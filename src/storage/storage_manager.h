@@ -3,12 +3,14 @@
 // Responsibilities: virtualize physical storage behind VirtualFs, execute
 // non-transfer requests synchronously, enforce access control on every
 // protocol uniformly, and manage guaranteed space in the form of lots.
+// Lots are the only space ledger: a write is charged to the writer's lots,
+// or, lot-less, admitted against the space no live lot guarantees.
 // Transfer requests are only *approved* here (ACL + lot admission); the
 // bytes are moved by the transfer manager.
 //
 // Durability: when a metadata journal is attached, every mutating
-// lot/ACL/quota operation is sealed into one journal batch and the reply
-// is withheld until Journal::commit() reports the batch durable — the
+// lot/ACL/residency operation is sealed into one journal batch and the
+// reply is withheld until Journal::commit() reports the batch durable — the
 // write-ahead barrier that makes lot guarantees survive a nestd restart.
 // attach_journal() replays snapshot + tail into the managers before the
 // server accepts connections.
@@ -34,22 +36,12 @@
 #include "storage/acl.h"
 #include "storage/journal_ops.h"
 #include "storage/lot.h"
-#include "storage/quota.h"
 #include "storage/vfs.h"
 
 namespace nest::storage {
 
-// Lot enforcement mechanism (ablation A4; paper Section 7.4 discusses the
-// trade-off between kernel quotas and NeST-managed accounting).
-enum class LotEnforcement {
-  kernel_quota,  // rely on the (simulated) filesystem quota mechanism
-  nest_managed,  // NeST meters writes through the QuotaLedger
-};
-
 struct StorageOptions {
   std::int64_t lot_capacity = 0;  // 0: use the backend's total space
-  ReclaimPolicy reclaim_policy = ReclaimPolicy::expired_lru;
-  LotEnforcement enforcement = LotEnforcement::kernel_quota;
   std::string superuser = "root";
   // When false, writes require a usable lot (strict Grid mode); when true,
   // lot-less writes are admitted if raw space remains (convenience mode
@@ -76,7 +68,7 @@ class StorageManager {
                  StorageOptions options = {});
 
   // --- Durable metadata journal ---
-  // Recover lot/ACL/quota state from `j` (newest snapshot, then the
+  // Recover lot/ACL/residency state from `j` (newest snapshot, then the
   // record tail), free the journal's recovery buffers, then route every
   // later metadata mutation through it.
   // Must run before the server serves requests. When `rebase_clock` is
@@ -92,7 +84,7 @@ class StorageManager {
   // Force a snapshot + compaction now (admin/test hook; the manager also
   // snapshots automatically every journal_snapshot_every batches).
   NEST_NODISCARD Status write_journal_snapshot();
-  // Serialized lot/ACL/quota state stamped with `at` (recovery tests
+  // Serialized lot/ACL/residency state stamped with `at` (recovery tests
   // compare shadow and replayed state byte-for-byte; the cluster layer
   // ships it to re-seed followers).
   std::string serialize_meta(Nanos at);
@@ -125,7 +117,7 @@ class StorageManager {
   };
   MetaSnapshot replica_snapshot();
   // Follower side: install replicated file *content* verbatim — no ACL
-  // check, no lot/quota accounting, no journal batch. The charges arrived
+  // check, no lot accounting, no journal batch. The charges arrived
   // through the journal stream already; the bytes are the primary's push,
   // not a client write, so admitting them through the write path would
   // double-account every replicated file.
@@ -187,15 +179,15 @@ class StorageManager {
   NEST_NODISCARD
   Result<HsmTicket> hsm_begin_migrate(const Principal& who,
                                       const std::string& path);
-  // The cold copy is fully written: journal residency=cold, release lot
-  // and quota charges, then (after the durability barrier) delete the hot
+  // The cold copy is fully written: journal residency=cold, release the
+  // lot charges, then (after the durability barrier) delete the hot
   // copy. A crash between barrier and delete leaves both copies; the
   // recovery scrub finishes the delete.
   NEST_NODISCARD Status hsm_commit_migrate(const HsmTicket& t);
   void hsm_abort_migrate(const std::string& path);
   // Begin staging `path` back to the hot tier. Requires the read right;
-  // re-admits the bytes (raw-space check, quota re-charge at commit) so a
-  // recall cannot overcommit space guaranteed to live lots.
+  // re-admits the bytes as a lot-less file (raw-space check) so a recall
+  // cannot overcommit space guaranteed to live lots.
   NEST_NODISCARD
   Result<HsmTicket> hsm_begin_recall(const Principal& who,
                                      const std::string& path);
@@ -231,7 +223,7 @@ class StorageManager {
                                        std::int64_t size);
 
   // Post-hoc accounting for stream protocols whose writes carry no length
-  // up front (FTP STOR): re-charges lots/quota for the actual byte count.
+  // up front (FTP STOR): re-charges lots for the actual byte count.
   // On failure the caller should delete the partial file.
   NEST_NODISCARD
   Status charge_written(const Principal& who, const std::string& path,
@@ -279,12 +271,11 @@ class StorageManager {
   Status check(const Principal& who, const std::string& path,
                Right needed) const REQUIRES(mu_);
   MetaState meta_state() REQUIRES(mu_) {
-    return MetaState{lots_, acl_, quota_, &residency_};
+    return MetaState{lots_, acl_, &residency_};
   }
 
   // Journal the current lot state of `id` (erase record if it vanished).
   void record_lot_locked(LotId id) REQUIRES(mu_);
-  void record_quota_locked(const std::string& owner) REQUIRES(mu_);
   // Append the accumulated batch (one record per client operation);
   // returns 0 when there is nothing to journal or no journal attached.
   Result<journal::Lsn> seal_batch_locked() REQUIRES(mu_);
@@ -331,7 +322,6 @@ class StorageManager {
   StorageOptions options_;
   AccessControl acl_ GUARDED_BY(mu_);
   LotManager lots_ GUARDED_BY(mu_);
-  QuotaLedger quota_ GUARDED_BY(mu_);
   hsm::ResidencyMap residency_ GUARDED_BY(mu_);
   // Set once by attach_journal() before the server accepts connections,
   // read-only afterwards; barrier() reads it outside mu_ by design (the

@@ -96,11 +96,9 @@ std::string scratch_dir(const std::string& tag) {
 // ---------- Phase A: shadow-model metadata chaos ----------
 
 std::unique_ptr<storage::StorageManager> make_sm(ManualClock& clock) {
-  storage::StorageOptions o;
-  o.lot_capacity = 100'000;
-  o.enforcement = storage::LotEnforcement::nest_managed;
   return std::make_unique<storage::StorageManager>(
-      clock, std::make_unique<storage::MemFs>(clock, 1'000'000), o);
+      clock, std::make_unique<storage::MemFs>(clock, 1'000'000),
+      storage::StorageOptions{.lot_capacity = 100'000});
 }
 
 // One random metadata operation, fully decided before it touches either
@@ -478,11 +476,9 @@ void run_hsm_episode(std::uint64_t seed, int* restarts) {
     auto hot = storage::LocalFs::open_root(hot_dir, 1'000'000);
     auto cold = storage::LocalFs::open_root(cold_dir, 1'000'000);
     ASSERT_TRUE(hot.ok() && cold.ok()) << "seed " << seed;
-    storage::StorageOptions so;
-    so.lot_capacity = 100'000;
-    so.enforcement = storage::LotEnforcement::nest_managed;
-    auto sm = std::make_unique<storage::StorageManager>(clock, std::move(*hot),
-                                                        so);
+    auto sm = std::make_unique<storage::StorageManager>(
+        clock, std::move(*hot),
+        storage::StorageOptions{.lot_capacity = 100'000});
     sm->attach_cold_tier(std::move(*cold));
     auto j = journal::Journal::open(clock, jo);
     ASSERT_TRUE(j.ok()) << "seed " << seed << ": " << j.error().to_string();

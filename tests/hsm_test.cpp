@@ -52,19 +52,17 @@ storage::Principal bob() {
                             .protocol = "chirp"};
 }
 
-storage::StorageOptions managed_options() {
-  storage::StorageOptions o;
-  o.lot_capacity = 1000;
-  o.enforcement = storage::LotEnforcement::nest_managed;
-  return o;
+// A 1000-byte lot pool: the 1 MB backends below dwarf it, so admission
+// decisions are all lot-driven.
+storage::StorageOptions small_pool_options() {
+  return storage::StorageOptions{.lot_capacity = 1000};
 }
 
-// Hot MemFs + cold MemFs, nest-managed lots. The 1 MB backends dwarf the
-// 1000-byte lot pool, so admission decisions are all lot-driven.
+// Hot MemFs + cold MemFs over the small lot pool.
 std::unique_ptr<storage::StorageManager> make_sm(ManualClock& clock) {
   auto sm = std::make_unique<storage::StorageManager>(
       clock, std::make_unique<storage::MemFs>(clock, 1'000'000),
-      managed_options());
+      small_pool_options());
   sm->attach_cold_tier(std::make_unique<storage::MemFs>(clock, 1'000'000));
   return sm;
 }
@@ -127,7 +125,7 @@ TEST_F(HsmTest, OpsRequireAColdTier) {
   ManualClock clock;
   storage::StorageManager sm(
       clock, std::make_unique<storage::MemFs>(clock, 1'000'000),
-      managed_options());
+      small_pool_options());
   EXPECT_FALSE(sm.cold_tier_attached());
   EXPECT_EQ(sm.hsm_begin_migrate(alice(), "/x").code(),
             Errc::invalid_argument);
@@ -430,8 +428,8 @@ TEST_F(HsmTest, ScriptIsCrashFreeBaselineWithOneFramePerOp) {
   EXPECT_EQ(frames, static_cast<std::size_t>(kHsmScriptOps));
 }
 
-// Kill-and-restart at every journal frame: the recovered lot/quota/
-// residency state must equal the shadow model at the acked prefix —
+// Kill-and-restart at every journal frame: the recovered lot/residency
+// state must equal the shadow model at the acked prefix —
 // every acknowledged tier transition present, nothing unacknowledged
 // resurrected.
 TEST_F(HsmTest, CrashPointReplayRecoversResidencyExactly) {
@@ -540,7 +538,7 @@ TEST_F(HsmTest, RecoverResolvesDoubleResidencyAndOrphans) {
     ASSERT_TRUE(j.ok());
     auto hot = storage::LocalFs::open_root(hot_dir, 1'000'000);
     ASSERT_TRUE(hot.ok());
-    storage::StorageManager sm(clock, std::move(*hot), managed_options());
+    storage::StorageManager sm(clock, std::move(*hot), small_pool_options());
     auto cold = storage::LocalFs::open_root(cold_dir, 1'000'000);
     ASSERT_TRUE(cold.ok());
     sm.attach_cold_tier(std::move(*cold));
@@ -570,7 +568,7 @@ TEST_F(HsmTest, RecoverResolvesDoubleResidencyAndOrphans) {
   ASSERT_TRUE(j.ok());
   auto hot = storage::LocalFs::open_root(hot_dir, 1'000'000);
   ASSERT_TRUE(hot.ok());
-  storage::StorageManager sm(clock2, std::move(*hot), managed_options());
+  storage::StorageManager sm(clock2, std::move(*hot), small_pool_options());
   auto cold = storage::LocalFs::open_root(cold_dir, 1'000'000);
   ASSERT_TRUE(cold.ok());
   sm.attach_cold_tier(std::move(*cold));

@@ -196,6 +196,16 @@ TEST(RecordCodec, UnderflowLatchesAndConsumesNothing) {
 // must fail with protocol_error. Each prefix is copied into its own
 // exact-size buffer so an over-read shows under AddressSanitizer.
 TEST(MetaBatchCodec, EveryTruncatedPrefixIsAProtocolError) {
+  // Tag 7 (owner, limit, used) is a retired quota record that replay reads
+  // past; MetaBatch no longer writes one, so it is framed by hand ahead of
+  // the records MetaBatch seals.
+  journal::RecordWriter w;
+  w.i64(42);  // batch timestamp
+  w.u32(9);   // record count
+  w.u8(7);
+  w.str("alice");
+  w.i64(1000);
+  w.i64(30);
   storage::Lot lot;
   lot.id = 7;
   lot.owner = "alice";
@@ -209,11 +219,11 @@ TEST(MetaBatchCodec, EveryTruncatedPrefixIsAProtocolError) {
   b.file_release("/a");
   b.acl_put("/", "[ Principal = \"user:bob\"; Rights = \"rl\"; ]");
   b.acl_clear("/", "user:bob");
-  b.quota_put("alice", 1000, 30);
   b.hsm_put("/cold", 5, "alice");
   b.hsm_erase("/cold");
   b.lot_erase(7);
-  const std::string payload = b.seal(42);
+  // Drop the sealed header (timestamp and count: 12 bytes).
+  const std::string payload = w.take() + b.seal(42).substr(12);
 
   ManualClock clock;
   const auto apply = [&](std::size_t n) {
@@ -221,11 +231,9 @@ TEST(MetaBatchCodec, EveryTruncatedPrefixIsAProtocolError) {
                           payload.begin() + static_cast<std::ptrdiff_t>(n));
     storage::LotManager lots(clock, 1'000'000);
     storage::AccessControl acl;
-    storage::QuotaLedger quota;
     hsm::ResidencyMap residency;
-    return storage::apply_meta_batch(
-        std::string_view(buf.data(), n),
-        storage::MetaState{lots, acl, quota, &residency});
+    return storage::apply_meta_batch(std::string_view(buf.data(), n),
+                                     storage::MetaState{lots, acl, &residency});
   };
   const auto full = apply(payload.size());
   ASSERT_TRUE(full.ok()) << full.error().to_string();
@@ -242,9 +250,12 @@ TEST(MetaBatchCodec, EveryTruncatedPrefixIsAProtocolError) {
 // A journal directory written by the encoder as of commit b6a352f (segment
 // format 1, snapshot format 3): three batches, a snapshot at LSN 3 (which
 // compacted the first segment away), then five batches covering every
-// record type. kEarlierState is what that build's attach_journal +
-// serialize_meta(0) produced from it. Recovery must reproduce it byte for
-// byte and leave both files as they were.
+// record type, the retired quota record (tag 7, for bob) and a snapshot
+// quota section (alice and carol) included. kEarlierState is what
+// attach_journal + serialize_meta(0) produce from it: that build's state
+// with the quota accounts read and discarded, so its quota section is an
+// empty count. Recovery must reproduce it byte for byte and leave both
+// files as they were.
 constexpr std::string_view kEarlierSegment =
     "4e53544a010000000400000000000000150000002d652f760400000000000000"
     "00f2052a010000000100000003020000000000000015000000ecb70e2d050000"
@@ -290,10 +301,8 @@ constexpr std::string_view kEarlierState =
     "616c203d202273797374656d3a616e7975736572223b20526967687473203d20"
     "22726c223b205d050000002f64617461320000005b205072696e636970616c20"
     "3d202267726f75703a70687973696373223b20526967687473203d2022726c77"
-    "6964223b205d0300000005000000616c69636588130000000000006400000000"
-    "00000003000000626f62e8030000000000000a00000000000000050000006361"
-    "726f6c0000000000000000001000000000000001000000070000002f636f6c64"
-    "2f777b0000000000000005000000616c696365";
+    "6964223b205d0000000001000000070000002f636f6c642f777b000000000000"
+    "0005000000616c696365";
 
 std::string from_hex(std::string_view hex) {
   std::string out;
@@ -613,21 +622,14 @@ TEST_F(JournalTest, SnapshotDuringConcurrentCommitsKeepsEveryAckedRecord) {
 
 // ---------- storage manager recovery ----------
 
-storage::StorageOptions managed_options() {
-  storage::StorageOptions o;
-  o.lot_capacity = 1000;
-  o.enforcement = storage::LotEnforcement::nest_managed;
-  return o;
-}
-
 std::unique_ptr<storage::StorageManager> make_sm(ManualClock& clock) {
   return std::make_unique<storage::StorageManager>(
       clock, std::make_unique<storage::MemFs>(clock, 1'000'000),
-      managed_options());
+      storage::StorageOptions{.lot_capacity = 1000});
 }
 
 // The scripted operation mix: lots (create/renew/terminate), writes with
-// lot charges, quota, ACL set/clear, clock-driven expiry, and reclaim.
+// lot charges, ACL set/clear, clock-driven expiry, and reclaim.
 // Every op succeeds in a crash-free run. Returns the number of
 // acknowledged (ok) operations; if `states` is given, appends
 // serialize_meta(0) after every op.

@@ -176,6 +176,16 @@ TEST(NestdConfig, RetiredGroupCommitKeysStillParse) {
   EXPECT_EQ(parsed->options.journal_sync, journal::SyncMode::always);
 }
 
+// The compaction cadence is a storage option; the nestd key sets it
+// directly.
+TEST(NestdConfig, SnapshotCadenceReachesStorageOptions) {
+  auto cfg = Config::parse("journal_snapshot_every = 7\n");
+  ASSERT_TRUE(cfg.ok());
+  auto parsed = server::options_from_config(*cfg);
+  ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
+  EXPECT_EQ(parsed->options.storage.journal_snapshot_every, 7u);
+}
+
 TEST(NestdConfig, AppliedConfigReachesServer) {
   // `adaptive` and `models` are retired keys: like any unknown key they
   // are ignored, so an old config still starts the server.

@@ -1,5 +1,5 @@
 // Server-level tests: the TransferExecutor's real byte-moving paths, the
-// LocalFs-backed appliance, publishing, and lifecycle edge cases.
+// LocalFs-backed appliance, and lifecycle edge cases.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -7,7 +7,6 @@
 
 #include "client/chirp_client.h"
 #include "client/nfs_client.h"
-#include "discovery/collector.h"
 #include "protocol/executor.h"
 #include "server/nest_server.h"
 #include "storage/memfs.h"
@@ -308,24 +307,6 @@ TEST(ServerLifecycle, DisabledProtocolsStayOff) {
   EXPECT_EQ((*server)->http_port(), 0);
   EXPECT_EQ((*server)->nfs_port(), 0);
   EXPECT_NE((*server)->chirp_port(), 0);
-  (*server)->stop();
-}
-
-TEST(ServerLifecycle, PeriodicPublishingRefreshesAds) {
-  server::NestServerOptions opts;
-  opts.name = "publisher-test";
-  auto server = server::NestServer::start(opts);
-  ASSERT_TRUE(server.ok());
-  discovery::Collector collector(RealClock::instance());
-  (*server)->dispatcher().start_publishing(collector);
-  // The publisher fires immediately on start.
-  for (int i = 0; i < 100 && collector.size() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  auto ad = collector.lookup("publisher-test");
-  ASSERT_TRUE(ad.has_value());
-  EXPECT_EQ(ad->eval_string("Type").value(), "Storage");
-  (*server)->dispatcher().stop_publishing();
   (*server)->stop();
 }
 

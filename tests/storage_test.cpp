@@ -9,7 +9,6 @@
 #include "storage/localfs.h"
 #include "storage/lot.h"
 #include "storage/memfs.h"
-#include "storage/quota.h"
 #include "storage/storage_manager.h"
 
 namespace nest::storage {
@@ -594,32 +593,6 @@ TEST_P(LotInvariantTest, GuaranteesNeverExceedCapacity) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LotInvariantTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// ---------- QuotaLedger ----------
-
-TEST(QuotaLedger, EnforcesLimits) {
-  QuotaLedger q;
-  q.set_limit("alice", 100);
-  EXPECT_TRUE(q.charge("alice", 60).ok());
-  EXPECT_EQ(q.charge("alice", 60).code(), Errc::no_space);
-  q.release("alice", 30);
-  EXPECT_TRUE(q.charge("alice", 60).ok());
-  EXPECT_EQ(q.usage("alice"), 90);
-}
-
-TEST(QuotaLedger, UnmeteredByDefault) {
-  QuotaLedger q;
-  EXPECT_TRUE(q.charge("bob", 1'000'000'000).ok());
-  EXPECT_EQ(q.limit("bob"), -1);
-}
-
-TEST(QuotaLedger, ReleaseClampsAtZero) {
-  QuotaLedger q;
-  q.set_limit("alice", 100);
-  ASSERT_TRUE(q.charge("alice", 50).ok());
-  q.release("alice", 500);
-  EXPECT_EQ(q.usage("alice"), 0);
-}
-
 // ---------- StorageManager ----------
 
 class StorageManagerTest : public ::testing::Test {
@@ -751,17 +724,15 @@ TEST_F(StorageManagerTest, ReclaimDeletesBackingFile) {
   EXPECT_EQ(mgr.stat(alice(), "/victim").code(), Errc::not_found);
 }
 
-TEST_F(StorageManagerTest, NestManagedEnforcement) {
-  ManualClock clk;
-  StorageManager nm(clk, std::make_unique<MemFs>(clk, 1'000'000),
-                    StorageOptions{
-                        .lot_capacity = 1'000'000,
-                        .enforcement = LotEnforcement::nest_managed,
-                        .allow_lotless_writes = false});
-  ASSERT_TRUE(nm.lot_create(alice(), 500, kSecond).ok());
-  EXPECT_TRUE(nm.approve_write(alice(), "/a", 300).ok());
-  // Ledger and lots both limit to 500.
-  EXPECT_EQ(nm.approve_write(alice(), "/b", 300).code(), Errc::no_space);
+TEST_F(StorageManagerTest, LotBoundsNewBytesNotOverwrites) {
+  ASSERT_TRUE(mgr.lot_create(alice(), 500, kSecond).ok());
+  // Each overwrite releases the old charge first, so rewriting one file
+  // never accumulates charges.
+  for (int i = 0; i < 5; ++i)
+    EXPECT_TRUE(mgr.approve_write(alice(), "/a", 300).ok()) << "write " << i;
+  // A second file does not fit beside it, and a full lot refuses rather
+  // than falling back to lot-less admission.
+  EXPECT_EQ(mgr.approve_write(alice(), "/b", 300).code(), Errc::no_space);
 }
 
 }  // namespace

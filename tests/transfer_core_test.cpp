@@ -178,8 +178,8 @@ TEST(TransferCoreStress, StrideShareUnderThreads) {
   EXPECT_EQ(core.free_slots(), 1);
 }
 
-// Concurrent lifecycle calls interleaved with monitoring reads (the
-// dispatcher's ClassAd publisher does exactly this in real mode).
+// Concurrent lifecycle calls interleaved with monitoring reads (every ad
+// and /stats query does exactly this in real mode).
 TEST(TransferCoreStress, MonitoringReadsDuringTraffic) {
   TransferManager tm(RealClock::instance(), fifo_options());
   TransferCore core(tm, 4);
