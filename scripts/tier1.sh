@@ -54,8 +54,9 @@ leg "ThreadSanitizer pass over concurrency/recovery/obs/conformance/chaos/cluste
 cmake --preset tsan
 # Only the labelled binaries need instrumenting; keeps the tsan tree cheap.
 cmake --build --preset tsan -j "${JOBS}" \
-  --target transfer_core_test journal_test obs_test conformance_test \
-          chaos_test cluster_test scale_test loadgen_test hsm_test
+  --target transfer_core_test storage_test transfer_test journal_test \
+          obs_test conformance_test chaos_test cluster_test scale_test \
+          loadgen_test hsm_test
 TSAN_OPTIONS="halt_on_error=1" ctest --preset tsan
 
 leg "AddressSanitizer pass over recovery/obs/conformance/fault/chaos/cluster/scale/hsm tests"

@@ -66,7 +66,7 @@ Result<std::vector<char>> NfsClient::call(std::uint32_t prog,
 
 namespace {
 
-// Skip a fattr (17 u32 fields in NFSv2) and extract type + size.
+// Decode a fattr (17 u32 fields in NFSv2): type, size and mtime seconds.
 Result<NfsClient::Attr> decode_fattr(xdr::Decoder& dec) {
   auto type = dec.get_u32();
   if (!type.ok()) return type.error();
@@ -79,8 +79,15 @@ Result<NfsClient::Attr> decode_fattr(xdr::Decoder& dec) {
   auto size = dec.get_u32();
   if (!size.ok()) return size.error();
   attr.size = *size;
-  // blocksize, rdev, blocks, fsid, fileid, 3 x (sec, usec)
-  for (int i = 0; i < 11; ++i) {
+  // blocksize, rdev, blocks, fsid, fileid, atime (sec, usec)
+  for (int i = 0; i < 7; ++i) {
+    if (auto v = dec.get_u32(); !v.ok()) return v.error();
+  }
+  auto mtime = dec.get_u32();
+  if (!mtime.ok()) return mtime.error();
+  attr.mtime_sec = *mtime;
+  // mtime usec, ctime (sec, usec)
+  for (int i = 0; i < 3; ++i) {
     if (auto v = dec.get_u32(); !v.ok()) return v.error();
   }
   return attr;
@@ -133,7 +140,7 @@ Result<std::pair<NfsClient::Fh, NfsClient::Attr>> NfsClient::lookup(
 }
 
 Result<std::string> NfsClient::read(const Fh& fh, std::int64_t offset,
-                                    std::int64_t count) {
+                                    std::int64_t count, Attr* attr) {
   xdr::Encoder args;
   args.put_fixed(std::span<const char>(fh.data(), fh.size()));
   args.put_u32(static_cast<std::uint32_t>(offset));
@@ -145,15 +152,16 @@ Result<std::string> NfsClient::read(const Fh& fh, std::int64_t offset,
   auto st = dec.get_u32();
   if (!st.ok()) return st.error();
   if (auto s = nfs_status(*st); !s.ok()) return Error{s.error()};
-  auto attr = decode_fattr(dec);
-  if (!attr.ok()) return attr.error();
+  auto post = decode_fattr(dec);
+  if (!post.ok()) return post.error();
+  if (attr != nullptr) *attr = *post;
   auto data = dec.get_opaque(static_cast<std::size_t>(kNfsBlockSize));
   if (!data.ok()) return data.error();
   return std::string(data->begin(), data->end());
 }
 
 Status NfsClient::write(const Fh& fh, std::int64_t offset,
-                        const std::string& data) {
+                        const std::string& data, Attr* attr) {
   xdr::Encoder args;
   args.put_fixed(std::span<const char>(fh.data(), fh.size()));
   args.put_u32(0);  // beginoffset
@@ -165,7 +173,11 @@ Status NfsClient::write(const Fh& fh, std::int64_t offset,
   xdr::Decoder dec(std::span<const char>(results->data(), results->size()));
   auto st = dec.get_u32();
   if (!st.ok()) return Status{st.error()};
-  return nfs_status(*st);
+  if (auto s = nfs_status(*st); !s.ok() || attr == nullptr) return s;
+  auto post = decode_fattr(dec);
+  if (!post.ok()) return Status{post.error()};
+  *attr = *post;
+  return {};
 }
 
 Result<NfsClient::Fh> NfsClient::create(const Fh& dir,

@@ -26,15 +26,19 @@ class NfsClient {
   struct Attr {
     bool is_dir = false;
     std::int64_t size = 0;
+    std::int64_t mtime_sec = 0;
   };
   NEST_NODISCARD Result<Attr> getattr(const Fh& fh);
   NEST_NODISCARD
   Result<std::pair<Fh, Attr>> lookup(const Fh& dir, const std::string& name);
+  // READ and WRITE reply with the file's post-op attributes; pass `attr`
+  // to receive them.
   NEST_NODISCARD
   Result<std::string> read(const Fh& fh, std::int64_t offset,
-                           std::int64_t count);
+                           std::int64_t count, Attr* attr = nullptr);
   NEST_NODISCARD
-  Status write(const Fh& fh, std::int64_t offset, const std::string& data);
+  Status write(const Fh& fh, std::int64_t offset, const std::string& data,
+               Attr* attr = nullptr);
   NEST_NODISCARD Result<Fh> create(const Fh& dir, const std::string& name);
   NEST_NODISCARD Status remove(const Fh& dir, const std::string& name);
   NEST_NODISCARD

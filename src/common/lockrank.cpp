@@ -100,6 +100,7 @@ const char* rank_name(Rank r) noexcept {
     case Rank::cluster_selector: return "cluster_selector";
     case Rank::hsm_state: return "hsm_state";
     case Rank::storage_meta: return "storage_meta";
+    case Rank::storage_extent: return "storage_extent";
     case Rank::storage_file: return "storage_file";
     case Rank::cluster_ship: return "cluster_ship";
     case Rank::journal: return "journal";

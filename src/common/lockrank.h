@@ -32,6 +32,7 @@ namespace nest::lockrank {
 // documents the reasoning per edge; the load-bearing nestings today:
 //
 //   storage_meta < storage_file   (stat/create touch file data under mu_)
+//   storage_meta < storage_extent (ExtentFs metadata calls under mu_)
 //   storage_meta < journal        (seal_batch appends under mu_)
 //   journal < fault_point         (journal I/O failpoints fire under mu_)
 //   cluster_membership < storage_meta/journal  (membership before journal,
@@ -60,6 +61,7 @@ enum class Rank : int {
   cluster_selector = 28,     // cluster::ReplicaSelector EWMA state
   hsm_state = 29,            // hsm::RecallManager in-flight recall table
   storage_meta = 30,         // StorageManager lot/ACL/residency state
+  storage_extent = 32,       // ExtentFs inode table, free list, volume
   storage_file = 34,         // MemFs per-file payload (shared)
   cluster_ship = 36,         // cluster replication ship queue + cursors
   journal = 38,              // journal::Journal append/commit state

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/log.h"
+#include "common/string_util.h"
 #include "common/units.h"
 #include "fault/failpoint.h"
 #include "obs/trace.h"
@@ -41,6 +42,13 @@ Reply Dispatcher::execute(const NestRequest& req) {
   return r;
 }
 
+Status Dispatcher::remove(const storage::Principal& who,
+                          const std::string& path) {
+  Status s = storage_.remove(who, path);
+  if (s.ok()) core_.observe_remove(normalize_path(path));
+  return s;
+}
+
 Reply Dispatcher::execute_impl(const NestRequest& req) {
   switch (req.op) {
     case NestOp::mkdir:
@@ -48,7 +56,7 @@ Reply Dispatcher::execute_impl(const NestRequest& req) {
     case NestOp::rmdir:
       return Reply{storage_.rmdir(req.principal, req.path), {}, 0};
     case NestOp::unlink:
-      return Reply{storage_.remove(req.principal, req.path), {}, 0};
+      return Reply{remove(req.principal, req.path), {}, 0};
     case NestOp::stat: {
       auto st = storage_.stat(req.principal, req.path);
       if (!st.ok()) return Reply::fail(Status{st.error()});

@@ -65,6 +65,11 @@ class Dispatcher {
   // Execute a non-transfer request synchronously.
   Reply execute(const protocol::NestRequest& req);
 
+  // Unlink `path`: every wire's unlink (and a failed FTP STOR's cleanup)
+  // lands here, so the file also leaves the gray-box cache model.
+  NEST_NODISCARD
+  Status remove(const storage::Principal& who, const std::string& path);
+
   // Approve a transfer (ACL + lot admission) and register it with the
   // transfer manager. The handler then moves blocks through core().
   NEST_NODISCARD

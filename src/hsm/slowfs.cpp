@@ -39,7 +39,7 @@ class SlowHandle final : public FileHandle {
     if (n.ok()) sleep_for_bytes(*n, options_.bandwidth_bytes_per_sec);
     return n;
   }
-  Result<std::int64_t> size() const override { return inner_->size(); }
+  Result<storage::FileStat> stat() const override { return inner_->stat(); }
   Status truncate(std::int64_t new_size) override {
     return inner_->truncate(new_size);
   }

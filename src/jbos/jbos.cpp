@@ -22,12 +22,13 @@ Status send_whole_file(storage::VirtualFs& fs, const std::string& path,
                        net::TcpStream& out) {
   auto handle = fs.open(path);
   if (!handle.ok()) return Status{handle.error()};
-  auto size = (*handle)->size();
-  if (!size.ok()) return Status{size.error()};
+  auto st = (*handle)->stat();
+  if (!st.ok()) return Status{st.error()};
+  const std::int64_t size = st->size;
   std::vector<char> buf(kBlock);
   std::int64_t off = 0;
-  while (off < *size) {
-    const std::int64_t len = std::min<std::int64_t>(kBlock, *size - off);
+  while (off < size) {
+    const std::int64_t len = std::min<std::int64_t>(kBlock, size - off);
     auto n = (*handle)->pread(
         std::span(buf.data(), static_cast<std::size_t>(len)), off);
     if (!n.ok()) return Status{n.error()};
@@ -45,6 +46,7 @@ Status recv_to_file(storage::VirtualFs& fs, const std::string& path,
                     net::TcpStream& in, std::int64_t size) {
   auto handle = fs.create(path);
   if (!handle.ok()) return Status{handle.error()};
+  if (auto s = (*handle)->truncate(0); !s.ok()) return s;
   std::vector<char> buf(kBlock);
   std::int64_t off = 0;
   while (size < 0 || off < size) {

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <thread>
-#include <vector>
 
 #include "fault/failpoint.h"
 #include "obs/stats.h"
@@ -69,7 +69,17 @@ Status TransferExecutor::move_blocks(const std::string& protocol,
                            ticket.path, size, ticket.user);
   const Nanos start = clock_.now();
   Status result;
-  std::vector<char> buf(static_cast<std::size_t>(block_bytes_));
+  // The bounce buffer exists only once a block takes the buffered path,
+  // uninitialized and no larger than the transfer: a send that goes out
+  // entirely by sendfile allocates nothing.
+  std::unique_ptr<char[]> buf;
+  const auto buffered_block = [&](std::int64_t len) {
+    if (!buf) {
+      buf = std::make_unique_for_overwrite<char[]>(
+          static_cast<std::size_t>(std::min(block_bytes_, size)));
+    }
+    return std::span<char>(buf.get(), static_cast<std::size_t>(len));
+  };
   // Zero-copy is decided per transfer: the first sendfile_map that
   // answers `unsupported` (MemFs, memory-backed ExtentFs) pins the rest
   // of this transfer to the buffered path — no per-block re-probing.
@@ -78,7 +88,6 @@ Status TransferExecutor::move_blocks(const std::string& protocol,
   while (off < size) {
     const std::int64_t len = std::min(block_bytes_, size - off);
     const std::int64_t at = start_offset + off;
-    const std::span<char> block(buf.data(), static_cast<std::size_t>(len));
     obs::Span qspan(obs::Layer::transfer, "quantum");
     qspan.set_value(len);
     if (auto refused = grant_refused()) {
@@ -88,6 +97,7 @@ Status TransferExecutor::move_blocks(const std::string& protocol,
     core_.acquire(req);
     auto move_block = [&]() -> Status {
       if (!send) {
+        const std::span<char> block = buffered_block(len);
         if (auto s = stream.read_exact(block); !s.ok()) return s;
         auto n = ticket.handle->pwrite(block, at);
         return n.ok() ? Status{} : Status{n.error()};
@@ -114,6 +124,7 @@ Status TransferExecutor::move_blocks(const std::string& protocol,
           return Status{segs.error()};
         try_zero_copy = false;
       }
+      const std::span<char> block = buffered_block(len);
       auto n = ticket.handle->pread(block, at);
       if (!n.ok()) return Status{n.error()};
       if (*n != len) return Status{Errc::io_error, "short file read"};
@@ -177,7 +188,9 @@ Result<std::int64_t> TransferExecutor::recv_until_eof(
   const Nanos start = clock_.now();
   TransferRequest* req = core_.create_request(
       protocol, Direction::write, ticket.path, /*size=*/0, ticket.user);
-  std::vector<char> buf(static_cast<std::size_t>(block_bytes_));
+  // The stream's length is unknown, so the buffer is a whole block.
+  const auto buf_bytes = static_cast<std::size_t>(block_bytes_);
+  const auto buf = std::make_unique_for_overwrite<char[]>(buf_bytes);
   std::int64_t off = 0;
   Status result;
   while (true) {
@@ -189,12 +202,12 @@ Result<std::int64_t> TransferExecutor::recv_until_eof(
     core_.acquire(req);
     std::int64_t got = 0;
     auto move_block = [&]() -> Status {
-      auto n = stream.read_some(std::span(buf.data(), buf.size()));
+      auto n = stream.read_some(std::span(buf.get(), buf_bytes));
       if (!n.ok()) return Status{n.error()};
       got = *n;
       if (got == 0) return {};  // orderly close
       auto w = ticket.handle->pwrite(
-          std::span<const char>(buf.data(), static_cast<std::size_t>(got)),
+          std::span<const char>(buf.get(), static_cast<std::size_t>(got)),
           off);
       return w.ok() ? Status{} : Status{w.error()};
     };

@@ -460,7 +460,7 @@ void FtpHandler::serve(net::TcpStream& stream) {
           who, req.path, *total);
       if (!charged.ok()) {
         // Best-effort cleanup of the uncharged store; the 5xx reply matters.
-        (void)ctx_.dispatcher->storage().remove(who, req.path);
+        (void)ctx_.dispatcher->remove(who, req.path);
         reply(stream, ftp_fail(charged));
         continue;
       }

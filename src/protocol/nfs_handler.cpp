@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/log.h"
@@ -265,15 +266,19 @@ void NfsService::handle_nfs(const xdr::RpcCall& call, xdr::Decoder& args,
       if (!ticket.ok()) return fail(errc_to_nfs(ticket.code()));
       const std::size_t len =
           std::min<std::size_t>(*count, static_cast<std::size_t>(kNfsBlockSize));
-      std::vector<char> buf(len);
+      const auto buf = std::make_unique_for_overwrite<char[]>(len);
       auto n = executor_.read_block("nfs", *ticket, *offset,
-                                    std::span(buf.data(), buf.size()));
+                                    std::span(buf.get(), len));
       if (!n.ok()) return fail(errc_to_nfs(n.code()));
-      auto st = dispatcher_.storage().stat(who, *path);
+      // Post-op attributes come from approve_read's fstat of the file
+      // being read: no second trip through the storage lock.
+      storage::FileStat st;
+      st.size = ticket->size;
+      st.mtime = ticket->mtime;
       out.put_u32(NFS_OK);
-      encode_fattr(out, *path, st.ok() ? *st : storage::FileStat{});
+      encode_fattr(out, *path, st);
       out.put_opaque(std::span<const char>(
-          buf.data(), static_cast<std::size_t>(*n)));
+          buf.get(), static_cast<std::size_t>(*n)));
       return;
     }
 
@@ -299,9 +304,9 @@ void NfsService::handle_nfs(const xdr::RpcCall& call, xdr::Decoder& args,
       // the prior charge), mirroring what PUT-style protocols do with a
       // declared size up front. A block the lots cannot hold is
       // refused with NOSPC and never written.
-      const auto old_size = ticket.handle->size();
+      const auto old = ticket.handle->stat();
       const std::int64_t prospective =
-          std::max(old_size.ok() ? *old_size : 0,
+          std::max(old.ok() ? old->size : 0,
                    static_cast<std::int64_t>(*offset) +
                        static_cast<std::int64_t>(data->size()));
       if (auto charged =
@@ -313,7 +318,8 @@ void NfsService::handle_nfs(const xdr::RpcCall& call, xdr::Decoder& args,
           "nfs", ticket, *offset,
           std::span<const char>(data->data(), data->size()));
       if (!n.ok()) return fail(errc_to_nfs(n.code()));
-      auto st = dispatcher_.storage().stat(who, *path);
+      // Post-op attributes from one fstat of the handle just written.
+      auto st = ticket.handle->stat();
       out.put_u32(NFS_OK);
       encode_fattr(out, *path, st.ok() ? *st : storage::FileStat{});
       return;
@@ -337,7 +343,7 @@ void NfsService::handle_nfs(const xdr::RpcCall& call, xdr::Decoder& args,
       auto path = get_dirop();
       xdr::encode_accepted_reply(out, call.xid, xdr::kAcceptSuccess);
       if (!path.ok()) return fail(NFSERR_STALE);
-      const Status s = dispatcher_.storage().remove(who, *path);
+      const Status s = dispatcher_.remove(who, *path);
       return fail(errc_to_nfs(s.code()));
     }
 

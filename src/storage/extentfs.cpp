@@ -25,7 +25,7 @@ class ExtentFileHandle final : public FileHandle {
                              std::int64_t offset) override;
   Result<std::int64_t> pwrite(std::span<const char> buf,
                               std::int64_t offset) override;
-  Result<std::int64_t> size() const override;
+  Result<FileStat> stat() const override;
   Status truncate(std::int64_t new_size) override;
   Result<std::vector<SendSegment>> sendfile_map(std::int64_t offset,
                                                 std::int64_t len) override;
@@ -64,15 +64,17 @@ Result<std::unique_ptr<ExtentFs>> ExtentFs::open_volume(
     return Error{Errc::io_error, "size volume: " + std::string(strerror(errno))};
   }
   auto fs = std::make_unique<ExtentFs>(clock, 0);
+  fs->volume_fd_ = fd;
+  MutexLock lock(fs->mu_);
   fs->volume_bytes_ = volume_bytes;
   fs->extent_count_ = volume_bytes / kExtentBytes;
   fs->mem_volume_.clear();
   fs->mem_volume_.shrink_to_fit();
-  fs->volume_fd_ = fd;
   fs->free_list_.clear();
   for (std::int64_t e = 0; e < fs->extent_count_; ++e) {
     fs->free_list_.insert(e);
   }
+  lock.unlock();
   return fs;
 }
 
@@ -174,6 +176,7 @@ void ExtentFs::release_extents(Inode& inode) {
 }
 
 Status ExtentFs::mkdir(const std::string& raw) {
+  MutexLock lock(mu_);
   const std::string path = normalize_path(raw);
   if (inodes_.count(path)) return Status{Errc::exists, path};
   if (auto s = check_parent(path); !s.ok()) return s;
@@ -186,6 +189,7 @@ Status ExtentFs::mkdir(const std::string& raw) {
 }
 
 Status ExtentFs::rmdir(const std::string& raw) {
+  MutexLock lock(mu_);
   const std::string path = normalize_path(raw);
   if (path == "/")
     return Status{Errc::permission_denied, "cannot remove root"};
@@ -203,6 +207,7 @@ Status ExtentFs::rmdir(const std::string& raw) {
 }
 
 Status ExtentFs::remove(const std::string& raw) {
+  MutexLock lock(mu_);
   const std::string path = normalize_path(raw);
   const auto it = inodes_.find(path);
   if (it == inodes_.end()) return Status{Errc::not_found, path};
@@ -214,6 +219,7 @@ Status ExtentFs::remove(const std::string& raw) {
 }
 
 Result<FileStat> ExtentFs::stat(const std::string& raw) const {
+  MutexLock lock(mu_);
   const auto it = inodes_.find(normalize_path(raw));
   if (it == inodes_.end()) return Error{Errc::not_found, raw};
   FileStat st;
@@ -225,6 +231,7 @@ Result<FileStat> ExtentFs::stat(const std::string& raw) const {
 }
 
 Result<std::vector<DirEntry>> ExtentFs::list(const std::string& raw) const {
+  MutexLock lock(mu_);
   const std::string path = normalize_path(raw);
   const auto it = inodes_.find(path);
   if (it == inodes_.end()) return Error{Errc::not_found, path};
@@ -244,6 +251,7 @@ Result<std::vector<DirEntry>> ExtentFs::list(const std::string& raw) const {
 
 Status ExtentFs::rename(const std::string& from_raw,
                         const std::string& to_raw) {
+  MutexLock lock(mu_);
   const std::string from = normalize_path(from_raw);
   const std::string to = normalize_path(to_raw);
   const auto it = inodes_.find(from);
@@ -259,6 +267,7 @@ Status ExtentFs::rename(const std::string& from_raw,
 Result<FileHandlePtr> ExtentFs::open(const std::string& raw) {
   NEST_FAILPOINT("fs.open", return err);
   const std::string path = normalize_path(raw);
+  MutexLock lock(mu_);
   const auto it = inodes_.find(path);
   if (it == inodes_.end()) return Error{Errc::not_found, path};
   if (it->second.is_dir) return Error{Errc::is_dir, path};
@@ -268,25 +277,38 @@ Result<FileHandlePtr> ExtentFs::open(const std::string& raw) {
 Result<FileHandlePtr> ExtentFs::create(const std::string& raw) {
   NEST_FAILPOINT("fs.create", return err);
   const std::string path = normalize_path(raw);
+  MutexLock lock(mu_);
   if (auto s = check_parent(path); !s.ok()) return Error{s.error()};
-  auto& inode = inodes_[path];
-  if (inode.is_dir) return Error{Errc::is_dir, path};
-  release_extents(inode);
-  inode.mtime = clock_.now();
+  const auto [it, inserted] = inodes_.try_emplace(path);
+  if (it->second.is_dir) return Error{Errc::is_dir, path};
+  if (inserted) it->second.mtime = clock_.now();
   return FileHandlePtr(std::make_shared<ExtentFileHandle>(*this, path));
 }
 
 void ExtentFs::set_owner(const std::string& raw, const std::string& owner) {
+  MutexLock lock(mu_);
   const auto it = inodes_.find(normalize_path(raw));
   if (it != inodes_.end()) it->second.owner = owner;
 }
 
+std::int64_t ExtentFs::total_space() const {
+  MutexLock lock(mu_);
+  return volume_bytes_;
+}
+
+std::int64_t ExtentFs::free_extents() const {
+  MutexLock lock(mu_);
+  return static_cast<std::int64_t>(free_list_.size());
+}
+
 std::int64_t ExtentFs::used_space() const {
+  MutexLock lock(mu_);
   return (extent_count_ - static_cast<std::int64_t>(free_list_.size())) *
          kExtentBytes;
 }
 
 std::int64_t ExtentFs::extents_of(const std::string& path) const {
+  MutexLock lock(mu_);
   const auto it = inodes_.find(normalize_path(path));
   if (it == inodes_.end()) return -1;
   return static_cast<std::int64_t>(it->second.extents.size());
@@ -297,6 +319,7 @@ std::int64_t ExtentFs::extents_of(const std::string& path) const {
 Result<std::int64_t> ExtentFs::file_io(const std::string& path,
                                        std::int64_t offset, char* rbuf,
                                        const char* wbuf, std::int64_t len) {
+  MutexLock lock(mu_);
   auto it = inodes_.find(path);
   if (it == inodes_.end()) return Error{Errc::not_found, path};
   Inode& inode = it->second;
@@ -342,6 +365,7 @@ Result<std::vector<SendSegment>> ExtentFs::map_for_send(
     return Error{Errc::unsupported, "memory-backed volume has no fd"};
   if (offset < 0 || len < 0)
     return Error{Errc::invalid_argument, "negative map_for_send range"};
+  MutexLock lock(mu_);
   const auto it = inodes_.find(path);
   if (it == inodes_.end()) return Error{Errc::not_found, path};
   const Inode& inode = it->second;
@@ -373,6 +397,7 @@ Result<std::vector<SendSegment>> ExtentFs::map_for_send(
 
 Status ExtentFs::file_truncate(const std::string& path,
                                std::int64_t new_size) {
+  MutexLock lock(mu_);
   const auto it = inodes_.find(path);
   if (it == inodes_.end()) return Status{Errc::not_found, path};
   if (auto s = reserve(it->second, new_size); !s.ok()) return s;
@@ -395,11 +420,7 @@ Result<std::int64_t> ExtentFileHandle::pwrite(std::span<const char> buf,
                      static_cast<std::int64_t>(buf.size()));
 }
 
-Result<std::int64_t> ExtentFileHandle::size() const {
-  auto st = fs_.stat(path_);
-  if (!st.ok()) return st.error();
-  return st->size;
-}
+Result<FileStat> ExtentFileHandle::stat() const { return fs_.stat(path_); }
 
 Status ExtentFileHandle::truncate(std::int64_t new_size) {
   if (new_size < 0) return Status{Errc::invalid_argument, "negative size"};

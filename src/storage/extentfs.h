@@ -12,6 +12,11 @@
 // Metadata is volatile (rebuilt on restart); the volume holds file data
 // only. That matches the paper-era intent — a cache/staging appliance, not
 // an archival store — and keeps crash semantics explicit.
+//
+// Locking: one mutex (rank storage_extent) guards the inode table, the
+// free list and the volume. StorageManager calls the VirtualFs methods
+// under its own lock, but handles run on transfer threads outside it, and
+// their writes and truncates allocate and free extents.
 #pragma once
 
 #include <map>
@@ -19,6 +24,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/mutex.h"
 #include "storage/vfs.h"
 
 namespace nest::storage {
@@ -51,13 +57,11 @@ class ExtentFs final : public VirtualFs {
   NEST_NODISCARD Result<FileHandlePtr> create(const std::string& path) override;
   void set_owner(const std::string& path, const std::string& owner) override;
 
-  std::int64_t total_space() const override { return volume_bytes_; }
+  std::int64_t total_space() const override;
   std::int64_t used_space() const override;
 
   // Allocator introspection (tests, resource ads).
-  std::int64_t free_extents() const {
-    return static_cast<std::int64_t>(free_list_.size());
-  }
+  std::int64_t free_extents() const;
   std::int64_t extents_of(const std::string& path) const;
 
   // Shared read/write path for handles: exactly one of rbuf/wbuf is set.
@@ -87,29 +91,33 @@ class ExtentFs final : public VirtualFs {
     std::string owner;
   };
 
-  NEST_NODISCARD Status check_parent(const std::string& path) const;
+  NEST_NODISCARD Status check_parent(const std::string& path) const
+      REQUIRES(mu_);
   // Grow/shrink a file's extent chain to cover `new_size` bytes.
-  NEST_NODISCARD Status reserve(Inode& inode, std::int64_t new_size);
-  void release_extents(Inode& inode);
+  NEST_NODISCARD Status reserve(Inode& inode, std::int64_t new_size)
+      REQUIRES(mu_);
+  void release_extents(Inode& inode) REQUIRES(mu_);
 
   // Volume I/O at a (extent, offset-in-extent) location. On the fd-backed
   // volume these loop over EINTR and short counts; any residual failure is
   // a real device error and propagates (never silent truncation).
   NEST_NODISCARD
   Status volume_read(std::int64_t extent, std::int64_t offset, char* out,
-                     std::int64_t len) const;
+                     std::int64_t len) const REQUIRES(mu_);
   NEST_NODISCARD
   Status volume_write(std::int64_t extent, std::int64_t offset,
-                      const char* data, std::int64_t len);
+                      const char* data, std::int64_t len) REQUIRES(mu_);
 
   Clock& clock_;
-  std::int64_t volume_bytes_;
-  std::int64_t extent_count_;
-  std::set<std::int64_t> free_list_;
-  std::map<std::string, Inode> inodes_;  // normalized path -> inode
+  mutable Mutex mu_{lockrank::Rank::storage_extent, "extentfs.mu"};
+  std::int64_t volume_bytes_ GUARDED_BY(mu_);
+  std::int64_t extent_count_ GUARDED_BY(mu_);
+  std::set<std::int64_t> free_list_ GUARDED_BY(mu_);
+  std::map<std::string, Inode> inodes_ GUARDED_BY(mu_);  // normalized path
 
-  // Backing store: exactly one of these is active.
-  std::vector<char> mem_volume_;
+  // Backing store: exactly one of these is active. The fd is set once by
+  // open_volume, before the filesystem is shared.
+  std::vector<char> mem_volume_ GUARDED_BY(mu_);
   int volume_fd_ = -1;
 };
 

@@ -214,8 +214,8 @@ Result<Nanos> apply_meta_batch(std::string_view payload,
         const std::string_view path = r.str();
         const std::int64_t size = r.i64();
         const std::string_view owner = r.str();
-        if (r.good() && state.residency != nullptr) {
-          state.residency->put(
+        if (r.good()) {
+          state.residency.put(
               std::string(path),
               hsm::ColdEntry{hsm::Tier::cold, size, std::string(owner)});
         }
@@ -223,8 +223,7 @@ Result<Nanos> apply_meta_batch(std::string_view payload,
       }
       case Tag::hsm_erase: {
         const std::string_view path = r.str();
-        if (r.good() && state.residency != nullptr)
-          state.residency->erase(std::string(path));
+        if (r.good()) state.residency.erase(std::string(path));
         break;
       }
       default:
@@ -252,25 +251,19 @@ std::string encode_meta_snapshot(Nanos now, const MetaState& state) {
   // The retired quota section (see Tag::retired_quota), always empty: the
   // count keeps snapshot format 3 readable by earlier builds.
   w.u32(0);
-  if (state.residency != nullptr) {
-    // Snapshot only the stable entries: a snapshot taken mid-migration
-    // must resolve the same way a crash would (hot copy still
-    // authoritative until the commit record lands).
-    std::uint32_t ncold = 0;
-    for (const auto& [path, e] : state.residency->entries()) {
-      if (e.tier == hsm::Tier::cold || e.tier == hsm::Tier::recalling)
-        ++ncold;
-    }
-    w.u32(ncold);
-    for (const auto& [path, e] : state.residency->entries()) {
-      if (e.tier != hsm::Tier::cold && e.tier != hsm::Tier::recalling)
-        continue;
-      w.str(path);
-      w.i64(e.size);
-      w.str(e.owner);
-    }
-  } else {
-    w.u32(0);
+  // Snapshot only the stable entries: a snapshot taken mid-migration must
+  // resolve the same way a crash would (hot copy still authoritative until
+  // the commit record lands).
+  std::uint32_t ncold = 0;
+  for (const auto& [path, e] : state.residency.entries()) {
+    if (e.tier == hsm::Tier::cold || e.tier == hsm::Tier::recalling) ++ncold;
+  }
+  w.u32(ncold);
+  for (const auto& [path, e] : state.residency.entries()) {
+    if (e.tier != hsm::Tier::cold && e.tier != hsm::Tier::recalling) continue;
+    w.str(path);
+    w.i64(e.size);
+    w.str(e.owner);
   }
   return w.take();
 }
@@ -310,8 +303,8 @@ Result<Nanos> apply_meta_snapshot(std::string_view payload,
     const std::string_view path = r.str();
     const std::int64_t size = r.i64();
     const std::string_view owner = r.str();
-    if (r.good() && state.residency != nullptr) {
-      state.residency->put(
+    if (r.good()) {
+      state.residency.put(
           std::string(path),
           hsm::ColdEntry{hsm::Tier::cold, size, std::string(owner)});
     }

@@ -58,9 +58,7 @@ class MetaBatch {
 struct MetaState {
   LotManager& lots;
   AccessControl& acl;
-  // Optional: appliances without a cold tier pass nullptr and hsm
-  // records/sections are skipped.
-  hsm::ResidencyMap* residency = nullptr;
+  hsm::ResidencyMap& residency;
 };
 
 // Apply one sealed batch; returns its timestamp.

@@ -35,6 +35,15 @@ Error sys_error(const std::string& what) {
   return Error{errno_to_errc(err), what + ": " + std::strerror(err)};
 }
 
+// The path stat and the handle's fstat report the same fields the same way.
+FileStat stat_of(const struct stat& st) {
+  FileStat out;
+  out.size = static_cast<std::int64_t>(st.st_size);
+  out.is_dir = S_ISDIR(st.st_mode);
+  out.mtime = static_cast<Nanos>(st.st_mtime) * kSecond;
+  return out;
+}
+
 // RAII fd-backed file handle using pread/pwrite.
 class LocalFileHandle final : public FileHandle {
  public:
@@ -82,10 +91,10 @@ class LocalFileHandle final : public FileHandle {
     return static_cast<std::int64_t>(done);
   }
 
-  Result<std::int64_t> size() const override {
+  Result<FileStat> stat() const override {
     struct stat st{};
     if (::fstat(fd_, &st) != 0) return sys_error("fstat");
-    return static_cast<std::int64_t>(st.st_size);
+    return stat_of(st);
   }
 
   Status truncate(std::int64_t new_size) override {
@@ -160,10 +169,7 @@ Result<FileStat> LocalFs::stat(const std::string& path) const {
   struct stat st{};
   if (::stat(host_path(path).c_str(), &st) != 0)
     return sys_error("stat " + path);
-  FileStat out;
-  out.size = static_cast<std::int64_t>(st.st_size);
-  out.is_dir = S_ISDIR(st.st_mode);
-  out.mtime = static_cast<Nanos>(st.st_mtime) * kSecond;
+  FileStat out = stat_of(st);
   const auto it = owners_.find(normalize_path(path));
   if (it != owners_.end()) out.owner = it->second;
   return out;
@@ -210,8 +216,7 @@ Result<FileHandlePtr> LocalFs::open(const std::string& path) {
 
 Result<FileHandlePtr> LocalFs::create(const std::string& path) {
   NEST_FAILPOINT("fs.create", return err);
-  const int fd =
-      ::open(host_path(path).c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  const int fd = ::open(host_path(path).c_str(), O_RDWR | O_CREAT, 0644);
   if (fd < 0) return sys_error("create " + path);
   return FileHandlePtr(std::make_shared<LocalFileHandle>(fd));
 }

@@ -40,9 +40,12 @@ class MemFileHandle final : public FileHandle {
     return static_cast<std::int64_t>(buf.size());
   }
 
-  Result<std::int64_t> size() const override {
+  Result<FileStat> stat() const override {
     ReaderLock lk(data_->mu);
-    return static_cast<std::int64_t>(data_->bytes.size());
+    FileStat st;
+    st.size = static_cast<std::int64_t>(data_->bytes.size());
+    st.mtime = data_->mtime;
+    return st;
   }
 
   Status truncate(std::int64_t new_size) override {
@@ -173,10 +176,9 @@ Result<FileHandlePtr> MemFs::create(const std::string& raw) {
   if (auto s = check_parent(path); !s.ok()) return Error{s.error()};
   auto& node = nodes_[path];
   if (node.is_dir) return Error{Errc::is_dir, path};
-  if (!node.data) node.data = std::make_shared<FileData>();
-  {
+  if (!node.data) {
+    node.data = std::make_shared<FileData>();
     WriterLock lk(node.data->mu);
-    node.data->bytes.clear();
     node.data->mtime = clock_.now();
   }
   return FileHandlePtr(std::make_shared<MemFileHandle>(node.data, clock_));

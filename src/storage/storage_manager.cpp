@@ -178,6 +178,7 @@ Status StorageManager::install_replica_file(const std::string& path,
   if (auto s = materialize_parents_locked(*fs_, norm); !s.ok()) return s;
   auto handle = fs_->create(norm);
   if (!handle.ok()) return Status{handle.error()};
+  if (auto s = (*handle)->truncate(0); !s.ok()) return s;
   auto wrote =
       (*handle)->pwrite(std::span<const char>(data.data(), data.size()), 0);
   if (!wrote.ok()) return Status{wrote.error()};
@@ -380,12 +381,15 @@ Result<TransferTicket> StorageManager::approve_read(const Principal& who,
   }
   auto handle = fs_->open(path);
   if (!handle.ok()) return handle.error();
-  auto size = handle.value()->size();
+  auto st = handle.value()->stat();
   TransferTicket t;
   t.path = normalize_path(path);
   t.user = who.name;
   t.handle = std::move(handle.value());
-  t.size = size.ok() ? *size : 0;
+  if (st.ok()) {
+    t.size = st->size;
+    t.mtime = st->mtime;
+  }
   return t;
 }
 
@@ -398,6 +402,21 @@ Result<TransferTicket> StorageManager::approve_write(const Principal& who,
   auto sealed = seal_batch_locked();
   if (!sealed.ok()) return sealed.error();
   lock.unlock();
+  // An overwrite frees the old bytes here, outside mu_: create() keeps
+  // them, and dropping a large file's blocks would otherwise hold every
+  // metadata operation behind it. A failed truncate undoes the charges as
+  // a failed create does.
+  if (out.ok()) {
+    if (Status s = out->handle->truncate(0); !s.ok()) {
+      lock.lock();
+      lots_.release_file(out->path);
+      batch_.file_release(out->path);
+      sealed = seal_batch_locked();
+      if (!sealed.ok()) return sealed.error();
+      lock.unlock();
+      out = s.error();
+    }
+  }
   if (auto b = barrier(*sealed); !b.ok()) return b.error();
   return out;
 }
@@ -661,6 +680,7 @@ Result<StorageManager::HsmTicket> StorageManager::hsm_begin_migrate(
     return s.error();
   auto dst = cold_fs_->create(norm);
   if (!dst.ok()) return dst.error();
+  if (auto s = (*dst)->truncate(0); !s.ok()) return s.error();
   cold_fs_->set_owner(norm, st->owner);
   HsmTicket t;
   t.path = norm;
@@ -736,6 +756,7 @@ Result<StorageManager::HsmTicket> StorageManager::hsm_begin_recall(
     return s.error();
   auto dst = fs_->create(norm);
   if (!dst.ok()) return dst.error();
+  if (auto s = (*dst)->truncate(0); !s.ok()) return s.error();
   fs_->set_owner(norm, e->owner);
   HsmTicket t;
   t.path = norm;

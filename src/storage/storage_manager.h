@@ -59,6 +59,7 @@ struct TransferTicket {
   std::string user;  // approving principal ("" = anonymous)
   FileHandlePtr handle;
   std::int64_t size = 0;                  // known size (writes) or file size
+  Nanos mtime = 0;                        // reads: file mtime at approval
   std::vector<LotAllocation> allocations; // lot charges backing a write
 };
 
@@ -217,6 +218,8 @@ class StorageManager {
   NEST_NODISCARD
   Result<TransferTicket> approve_read(const Principal& who,
                                       const std::string& path);
+  // The ticket's file is empty. Overwriting a file frees its old bytes
+  // after mu_ is released, so other metadata operations never wait on it.
   NEST_NODISCARD
   Result<TransferTicket> approve_write(const Principal& who,
                                        const std::string& path,
@@ -271,7 +274,7 @@ class StorageManager {
   Status check(const Principal& who, const std::string& path,
                Right needed) const REQUIRES(mu_);
   MetaState meta_state() REQUIRES(mu_) {
-    return MetaState{lots_, acl_, &residency_};
+    return MetaState{lots_, acl_, residency_};
   }
 
   // Journal the current lot state of `id` (erase record if it vanished).

@@ -51,7 +51,9 @@ class FileHandle {
   NEST_NODISCARD
   virtual Result<std::int64_t> pwrite(std::span<const char> buf,
                                       std::int64_t offset) = 0;
-  NEST_NODISCARD virtual Result<std::int64_t> size() const = 0;
+  // Size and mtime of the open file from one fstat (or the backend's
+  // equivalent). `owner` is namespace metadata and may be left empty.
+  NEST_NODISCARD virtual Result<FileStat> stat() const = 0;
   NEST_NODISCARD virtual Status truncate(std::int64_t new_size) = 0;
 
   // Map [offset, offset+len) of the file onto fd-backed segments for
@@ -90,7 +92,9 @@ class VirtualFs {
   // Open an existing file for reading.
   NEST_NODISCARD
   virtual Result<FileHandlePtr> open(const std::string& path) = 0;
-  // Create (or truncate) a file for writing; parent must exist.
+  // Open a file for writing, creating it if absent; parent must exist.
+  // An existing file keeps its bytes: a caller that needs it empty
+  // truncates through the handle.
   NEST_NODISCARD
   virtual Result<FileHandlePtr> create(const std::string& path) = 0;
 

@@ -65,6 +65,16 @@ void TransferCore::complete(TransferRequest* r) {
   tm_.complete(r);
 }
 
+void TransferCore::observe_remove(const std::string& path) {
+  MutexLock lock(mu_);
+  tm_.cache_model().observe_remove(path);
+}
+
+std::int64_t TransferCore::cache_tracked_pages() const {
+  MutexLock lock(mu_);
+  return tm_.cache_model().tracked_pages();
+}
+
 std::map<std::string, std::int64_t> TransferCore::class_bytes() const {
   std::map<std::string, std::int64_t> out;
   MutexLock lock(mu_);

@@ -47,6 +47,10 @@ class TransferCore {
   void charge(TransferRequest* r, std::int64_t bytes);
   // Retires `r` (completion count + registry erase).
   void complete(TransferRequest* r);
+  // `path` was unlinked: its pages leave the gray-box cache model.
+  void observe_remove(const std::string& path);
+  // Pages the cache model tracks (a leak gauge for tests).
+  std::int64_t cache_tracked_pages() const;
 
   // Bytes charged so far per protocol class (every class this core has
   // created a request for). Exact: each count is updated at charge time.

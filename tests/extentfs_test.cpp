@@ -76,7 +76,7 @@ TEST_F(ExtentFsTest, TruncateShrinksChain) {
   EXPECT_EQ(fs.extents_of("/f"), 10);
   ASSERT_TRUE((*h)->truncate(2 * kExt).ok());
   EXPECT_EQ(fs.extents_of("/f"), 2);
-  EXPECT_EQ((*h)->size().value(), 2 * kExt);
+  EXPECT_EQ((*h)->stat().value().size, 2 * kExt);
 }
 
 TEST_F(ExtentFsTest, VolumeFullIsNoSpace) {

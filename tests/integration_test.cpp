@@ -475,6 +475,47 @@ TEST_F(IntegrationTest, NfsAnonymousWriteDeniedThenGranted) {
   EXPECT_TRUE(nfs->remove(*dir, "job-output.dat").ok());
 }
 
+// READ and WRITE take their post-op attributes from the file handle they
+// already hold, not from a second metadata lookup: after an overwrite
+// changes the size, both must still agree with GETATTR.
+TEST_F(IntegrationTest, NfsReadWriteAttributesMatchGetattr) {
+  auto c = alice();
+  ASSERT_TRUE(c->mkdir("/attrs").ok());
+  ASSERT_TRUE(
+      c->acl_set("/attrs",
+                 "[ Principal = \"system:anyuser\"; Rights = \"rwlid\"; ]")
+          .ok());
+  ASSERT_TRUE(c->put("/attrs/f.bin", std::string(20'000, 'a')).ok());
+  auto nfs = NfsClient::connect("127.0.0.1", server_->nfs_port());
+  auto dir = nfs->mount("/attrs");
+  ASSERT_TRUE(dir.ok());
+  auto looked = nfs->lookup(*dir, "f.bin");
+  ASSERT_TRUE(looked.ok());
+  const NfsClient::Fh& fh = looked->first;
+  const auto expect_getattr = [&](const NfsClient::Attr& got,
+                                  std::int64_t size, const char* what) {
+    auto want = nfs->getattr(fh);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(want->size, size) << what;
+    EXPECT_EQ(got.size, want->size) << what;
+    EXPECT_EQ(got.mtime_sec, want->mtime_sec) << what;
+    EXPECT_EQ(got.is_dir, want->is_dir) << what;
+  };
+
+  NfsClient::Attr attr;
+  ASSERT_TRUE(nfs->read(fh, 8192, 8192, &attr).ok());
+  expect_getattr(attr, 20'000, "read before overwrite");
+
+  ASSERT_TRUE(c->put("/attrs/f.bin", std::string(30'000, 'b')).ok());
+  auto block = nfs->read(fh, 24'576, 8192, &attr);
+  ASSERT_TRUE(block.ok());
+  EXPECT_EQ(*block, std::string(30'000 - 24'576, 'b'));
+  expect_getattr(attr, 30'000, "read after overwrite");
+
+  ASSERT_TRUE(nfs->write(fh, 30'000, std::string(100, 'w'), &attr).ok());
+  expect_getattr(attr, 30'100, "write extending the file");
+}
+
 TEST_F(IntegrationTest, NfsStaleHandleAndMissingFiles) {
   auto nfs = NfsClient::connect("127.0.0.1", server_->nfs_port());
   EXPECT_FALSE(nfs->mount("/nonexistent").ok());

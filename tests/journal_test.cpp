@@ -233,7 +233,7 @@ TEST(MetaBatchCodec, EveryTruncatedPrefixIsAProtocolError) {
     storage::AccessControl acl;
     hsm::ResidencyMap residency;
     return storage::apply_meta_batch(std::string_view(buf.data(), n),
-                                     storage::MetaState{lots, acl, &residency});
+                                     storage::MetaState{lots, acl, residency});
   };
   const auto full = apply(payload.size());
   ASSERT_TRUE(full.ok()) << full.error().to_string();

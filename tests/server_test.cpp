@@ -88,7 +88,7 @@ TEST_F(ExecutorTest, RecvFileStoresExactBytes) {
   ASSERT_TRUE(in.ok());
   EXPECT_TRUE(executor.recv_file("chirp", ticket, *in, 30'000).ok());
   writer.join();
-  EXPECT_EQ(ticket.handle->size().value(), 30'000);
+  EXPECT_EQ(ticket.handle->stat().value().size, 30'000);
 }
 
 TEST_F(ExecutorTest, RecvUntilEofCountsBytes) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <random>
+#include <thread>
 
 #include "common/clock.h"
 #include "storage/acl.h"
+#include "storage/extentfs.h"
 #include "storage/localfs.h"
 #include "storage/lot.h"
 #include "storage/memfs.h"
@@ -71,7 +75,7 @@ TEST_F(MemFsTest, SparseWriteExtends) {
   ASSERT_TRUE(h.ok());
   const char byte = 'x';
   ASSERT_TRUE((*h)->pwrite(std::span(&byte, 1), 100).ok());
-  EXPECT_EQ((*h)->size().value(), 101);
+  EXPECT_EQ((*h)->stat().value().size, 101);
 }
 
 TEST_F(MemFsTest, ReadPastEofReturnsZero) {
@@ -733,6 +737,216 @@ TEST_F(StorageManagerTest, LotBoundsNewBytesNotOverwrites) {
   // A second file does not fit beside it, and a full lot refuses rather
   // than falling back to lot-less admission.
   EXPECT_EQ(mgr.approve_write(alice(), "/b", 300).code(), Errc::no_space);
+}
+
+
+// ---------- Overwrite truncation outside the metadata lock ----------
+
+// MemFs whose handles block in truncate() once armed, until released: the
+// stand-in for freeing a large file's blocks. It can also fail the next
+// truncate().
+class LatchFs final : public VirtualFs {
+ public:
+  explicit LatchFs(Clock& clock) : inner_(clock, 1'000'000) {}
+
+  // The next truncate() signals `entered` and waits for release().
+  std::future<void> arm() {
+    entered_ = {};
+    release_ = {};
+    released_ = release_.get_future().share();
+    armed_ = true;
+    return entered_.get_future();
+  }
+  void release() { release_.set_value(); }
+  void fail_next_truncate() { fail_ = true; }
+
+  Status mkdir(const std::string& p) override { return inner_.mkdir(p); }
+  Status rmdir(const std::string& p) override { return inner_.rmdir(p); }
+  Status remove(const std::string& p) override { return inner_.remove(p); }
+  Result<FileStat> stat(const std::string& p) const override {
+    return inner_.stat(p);
+  }
+  Result<std::vector<DirEntry>> list(const std::string& p) const override {
+    return inner_.list(p);
+  }
+  Status rename(const std::string& a, const std::string& b) override {
+    return inner_.rename(a, b);
+  }
+  Result<FileHandlePtr> open(const std::string& p) override {
+    return wrap(inner_.open(p));
+  }
+  Result<FileHandlePtr> create(const std::string& p) override {
+    return wrap(inner_.create(p));
+  }
+  void set_owner(const std::string& p, const std::string& o) override {
+    inner_.set_owner(p, o);
+  }
+  std::int64_t total_space() const override { return inner_.total_space(); }
+  std::int64_t used_space() const override { return inner_.used_space(); }
+
+ private:
+  class Handle final : public FileHandle {
+   public:
+    Handle(FileHandlePtr inner, LatchFs& fs)
+        : inner_(std::move(inner)), fs_(fs) {}
+    Result<std::int64_t> pread(std::span<char> b, std::int64_t o) override {
+      return inner_->pread(b, o);
+    }
+    Result<std::int64_t> pwrite(std::span<const char> b,
+                                std::int64_t o) override {
+      return inner_->pwrite(b, o);
+    }
+    Result<FileStat> stat() const override { return inner_->stat(); }
+    Status truncate(std::int64_t n) override {
+      if (fs_.fail_.exchange(false)) return Status{Errc::io_error, "probe"};
+      if (fs_.armed_.exchange(false)) {
+        fs_.entered_.set_value();
+        fs_.released_.wait();
+      }
+      return inner_->truncate(n);
+    }
+
+   private:
+    FileHandlePtr inner_;
+    LatchFs& fs_;
+  };
+
+  Result<FileHandlePtr> wrap(Result<FileHandlePtr> h) {
+    if (!h.ok()) return h;
+    return FileHandlePtr(std::make_shared<Handle>(std::move(*h), *this));
+  }
+
+  MemFs inner_;
+  std::atomic<bool> armed_{false};
+  std::atomic<bool> fail_{false};
+  std::promise<void> entered_;
+  std::promise<void> release_;
+  std::shared_future<void> released_;
+};
+
+TEST(StorageManagerOverwrite, TruncatesAfterReleasingMetadataLock) {
+  using namespace std::chrono_literals;
+  ManualClock clock;
+  auto owned = std::make_unique<LatchFs>(clock);
+  LatchFs& fs = *owned;
+  StorageManager mgr(clock, std::move(owned),
+                     StorageOptions{.lot_capacity = 1'000'000});
+  const std::string big(100'000, 'b');
+  const std::string small = "hello";
+  for (const auto& [path, body] :
+       {std::pair{"/big", &big}, std::pair{"/other", &small}}) {
+    auto t = mgr.approve_write(alice(), path,
+                               static_cast<std::int64_t>(body->size()));
+    ASSERT_TRUE(t.ok()) << t.error().to_string();
+    ASSERT_TRUE(
+        t->handle->pwrite(std::span(body->data(), body->size()), 0).ok());
+  }
+
+  std::future<void> entered = fs.arm();
+  auto overwrite = std::async(std::launch::async, [&] {
+    return mgr.approve_write(alice(), "/big", 10);
+  });
+  // The overwrite frees the old bytes through its handle...
+  const bool blocked = entered.wait_for(10s) == std::future_status::ready;
+  // ...while metadata operations on other paths proceed.
+  auto other = std::async(std::launch::async,
+                          [&] { return mgr.stat(alice(), "/other"); });
+  const bool stat_returned =
+      blocked && other.wait_for(10s) == std::future_status::ready;
+  const bool overwrite_waiting =
+      overwrite.wait_for(0s) == std::future_status::timeout;
+  fs.release();
+  ASSERT_TRUE(blocked) << "approve_write never truncated through the handle";
+  ASSERT_TRUE(stat_returned) << "stat waited behind the truncation";
+  EXPECT_TRUE(overwrite_waiting) << "the ticket came back before truncation";
+  const auto st = other.get();
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->size, 5);
+
+  auto ticket = overwrite.get();
+  ASSERT_TRUE(ticket.ok()) << ticket.error().to_string();
+  // Empty before any byte of the new body lands.
+  EXPECT_EQ(ticket->handle->stat().value().size, 0);
+  EXPECT_EQ(mgr.stat(alice(), "/big")->size, 0);
+}
+
+TEST(StorageManagerOverwrite, FailedTruncateReleasesCharges) {
+  ManualClock clock;
+  auto owned = std::make_unique<LatchFs>(clock);
+  LatchFs& fs = *owned;
+  StorageManager mgr(clock, std::move(owned),
+                     StorageOptions{.lot_capacity = 1'000'000});
+  auto lot = mgr.lot_create(alice(), 1000, kSecond);
+  ASSERT_TRUE(lot.ok());
+  ASSERT_TRUE(mgr.approve_write(alice(), "/f", 400).ok());
+  EXPECT_EQ(mgr.lot_query(alice(), *lot)->used, 400);
+  // A failed truncate leaves the lot as a failed create would.
+  fs.fail_next_truncate();
+  EXPECT_EQ(mgr.approve_write(alice(), "/f", 700).code(), Errc::io_error);
+  EXPECT_EQ(mgr.lot_query(alice(), *lot)->used, 0);
+  EXPECT_TRUE(mgr.approve_write(alice(), "/f", 700).ok());
+  EXPECT_EQ(mgr.lot_query(alice(), *lot)->used, 700);
+}
+
+// ---------- ExtentFs under concurrent handles ----------
+
+// Transfer threads write through their handles outside StorageManager's
+// lock while another thread creates and removes files under it: both
+// sides allocate and free extents.
+TEST(ExtentFsConcurrency, HandlesRaceMetadataOps) {
+  constexpr std::int64_t kExt = ExtentFs::kExtentBytes;
+  ManualClock clock;
+  auto owned = std::make_unique<ExtentFs>(clock, 64 * kExt);
+  ExtentFs& fs = *owned;
+  StorageManager mgr(clock, std::move(owned),
+                     StorageOptions{.lot_capacity = 64 * kExt});
+  std::atomic<bool> failed{false};
+  const auto writer = [&](char fill) {
+    const std::string path = std::string("/w") + fill;
+    for (int round = 0; round < 40 && !failed; ++round) {
+      const std::int64_t size = (1 + round % 4) * kExt + round;
+      auto t = mgr.approve_write(alice(), path, size);
+      if (!t.ok()) {
+        failed = true;
+        break;
+      }
+      const std::string body(static_cast<std::size_t>(size), fill);
+      for (std::int64_t off = 0; off < size; off += 8192) {
+        const auto len =
+            static_cast<std::size_t>(std::min<std::int64_t>(8192, size - off));
+        if (!t->handle->pwrite(std::span(body.data() + off, len), off).ok())
+          failed = true;
+      }
+      std::string got(body.size(), '\0');
+      auto n = t->handle->pread(std::span(got.data(), got.size()), 0);
+      if (!n.ok() || *n != size || got != body) failed = true;
+    }
+  };
+  std::thread a(writer, 'a');
+  std::thread b(writer, 'b');
+  std::thread churn([&] {
+    for (int i = 0; i < 200 && !failed; ++i) {
+      const std::string path = "/c" + std::to_string(i % 3);
+      auto t = mgr.approve_write(alice(), path, kExt);
+      if (!t.ok()) {
+        failed = true;
+        break;
+      }
+      const std::string body(static_cast<std::size_t>(kExt), 'c');
+      if (!t->handle->pwrite(std::span(body.data(), body.size()), 0).ok() ||
+          !mgr.remove(alice(), path).ok()) {
+        failed = true;
+      }
+    }
+  });
+  a.join();
+  b.join();
+  churn.join();
+  EXPECT_FALSE(failed);
+  // Every extent is either free or owned by a surviving file.
+  std::int64_t owned_extents = 0;
+  for (const char* path : {"/wa", "/wb"}) owned_extents += fs.extents_of(path);
+  EXPECT_EQ(fs.free_extents() + owned_extents, 64);
 }
 
 }  // namespace

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <list>
 #include <map>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "client/chirp_client.h"
+#include "client/nfs_client.h"
 #include "common/clock.h"
 #include "common/rng.h"
+#include "server/nest_server.h"
 #include "transfer/cache_model.h"
 #include "transfer/concurrency.h"
 #include "transfer/scheduler.h"
@@ -332,6 +339,208 @@ TEST_P(CacheModelSizeTest, LargerModelNeverLessResident) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CacheModelSizeTest,
                          ::testing::Values(2, 4, 8, 16));
+
+// The page-keyed model CacheModel replaced, kept verbatim as the reference
+// its decisions must equal: one (path, page) hash entry and LRU node per
+// resident page, a hash lookup per page per call, a full LRU scan per
+// remove.
+class ReferenceCacheModel {
+ public:
+  ReferenceCacheModel(std::int64_t estimated_cache_bytes,
+                      std::int64_t page_bytes)
+      : capacity_pages_(estimated_cache_bytes / page_bytes),
+        page_bytes_(page_bytes) {}
+
+  void observe_access(const std::string& path, std::int64_t offset,
+                      std::int64_t len) {
+    if (len <= 0) return;
+    const std::int64_t first = offset / page_bytes_;
+    const std::int64_t last = (offset + len - 1) / page_bytes_;
+    for (std::int64_t p = first; p <= last; ++p) {
+      const Key key{path, p};
+      const auto it = map_.find(key);
+      if (it != map_.end()) {
+        lru_.splice(lru_.begin(), lru_, it->second);
+        continue;
+      }
+      while (static_cast<std::int64_t>(map_.size()) >= capacity_pages_ &&
+             !lru_.empty()) {
+        map_.erase(lru_.back());
+        lru_.pop_back();
+      }
+      lru_.push_front(key);
+      map_[key] = lru_.begin();
+    }
+  }
+
+  void observe_remove(const std::string& path) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (it->path == path) {
+        map_.erase(*it);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  double resident_fraction(const std::string& path, std::int64_t size) const {
+    if (size <= 0) return 1.0;
+    const std::int64_t pages = (size + page_bytes_ - 1) / page_bytes_;
+    std::int64_t resident = 0;
+    for (std::int64_t p = 0; p < pages; ++p) {
+      if (map_.count(Key{path, p})) ++resident;
+    }
+    return static_cast<double>(resident) / static_cast<double>(pages);
+  }
+
+  std::int64_t tracked_pages() const {
+    return static_cast<std::int64_t>(map_.size());
+  }
+
+ private:
+  struct Key {
+    std::string path;
+    std::int64_t page;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      return std::hash<std::string>()(k.path) ^
+             std::hash<std::int64_t>()(k.page * 0x9e3779b97f4a7c15ll);
+    }
+  };
+  using Lru = std::list<Key>;
+
+  std::int64_t capacity_pages_;
+  std::int64_t page_bytes_;
+  Lru lru_;  // front = MRU
+  std::unordered_map<Key, Lru::iterator, KeyHash> map_;
+};
+
+// Seeded differential run: the same mixed sequence of accesses, removes
+// and queries drives both models, and every answer must be identical —
+// A3 and the sim figures depend on the exact decisions, not close ones.
+// Paths mix short (SSO) and heap-allocated names; a file's observed
+// extent grows and shrinks across accesses, so queries hit files whose
+// resident pages lie past the queried prefix.
+class CacheModelDifferential
+    : public ::testing::TestWithParam<std::int64_t> {};
+
+TEST_P(CacheModelDifferential, MatchesPagedReference) {
+  constexpr std::int64_t kPage = 8192;
+  const std::int64_t capacity_pages = GetParam();
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    CacheModel model(capacity_pages * kPage, kPage);
+    ReferenceCacheModel ref(capacity_pages * kPage, kPage);
+    Rng rng(seed * 7919 + static_cast<std::uint64_t>(capacity_pages));
+    std::vector<std::string> paths;
+    for (int i = 0; i < 12; ++i) {
+      paths.push_back(i % 2 == 0 ? "/f" + std::to_string(i)
+                                 : "/long/directory/name/for/file-" +
+                                       std::to_string(i) + ".dat");
+    }
+    for (int op = 0; op < 4000; ++op) {
+      const std::string& path = paths[static_cast<std::size_t>(
+          rng.uniform(0, static_cast<std::int64_t>(paths.size()) - 1))];
+      const std::int64_t roll = rng.uniform(0, 99);
+      if (roll < 55) {
+        // Mostly block-aligned streams from 0, sometimes unaligned
+        // ranges anywhere in the first 40 pages; len 0 is a no-op.
+        const std::int64_t offset =
+            roll < 35 ? 0 : rng.uniform(0, 40 * kPage);
+        const std::int64_t len = rng.uniform(0, 24 * kPage);
+        model.observe_access(path, offset, len);
+        ref.observe_access(path, offset, len);
+      } else if (roll < 62) {
+        model.observe_remove(path);
+        ref.observe_remove(path);
+      } else {
+        const std::int64_t size = rng.uniform(-kPage, 48 * kPage);
+        ASSERT_EQ(model.resident_fraction(path, size),
+                  ref.resident_fraction(path, size))
+            << "seed " << seed << " op " << op << " path " << path
+            << " size " << size;
+      }
+      ASSERT_EQ(model.tracked_pages(), ref.tracked_pages())
+          << "seed " << seed << " op " << op;
+      ASSERT_LE(model.tracked_files(), model.tracked_pages());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, CacheModelDifferential,
+                         ::testing::Values(0, 1, 3, 64, 1024));
+
+// Unbounded unique paths (one page each) leave at most the modeled
+// capacity behind: evicting a file's last page drops its entry.
+TEST(CacheModel, ChurnKeepsStateBounded) {
+  constexpr std::int64_t kCapacity = 256;
+  CacheModel m(kCapacity * 8192, 8192);
+  for (int i = 0; i < 200'000; ++i) {
+    m.observe_access("/churn/session-" + std::to_string(i) + "/file.dat", 0,
+                     4096);
+  }
+  EXPECT_LE(m.tracked_pages(), kCapacity);
+  EXPECT_LE(m.tracked_files(), kCapacity);
+  EXPECT_DOUBLE_EQ(
+      m.resident_fraction("/churn/session-199999/file.dat", 4096), 1.0);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/churn/session-0/file.dat", 4096),
+                   0.0);
+}
+
+// Every wire's unlink drops the file from the live server's model, so a
+// PUT-then-unlink workload leaves nothing behind in it.
+TEST(CacheModelWire, UnlinkForgetsFilePages) {
+  server::NestServerOptions opts;
+  opts.capacity = 100'000'000;
+  opts.http_port = opts.ftp_port = opts.gridftp_port = -1;
+  auto server = server::NestServer::start(opts);
+  ASSERT_TRUE(server.ok()) << server.error().to_string();
+  (*server)->gsi().add_user("alice", "alice-secret", {"physics"});
+  TransferCore& core = (*server)->dispatcher().core();
+  auto chirp = client::ChirpClient::connect(
+      "127.0.0.1", (*server)->chirp_port(), "alice", "alice-secret");
+  ASSERT_TRUE(chirp.ok());
+  ASSERT_TRUE(chirp->mkdir("/nfs").ok());
+  ASSERT_TRUE(
+      chirp->acl_set("/nfs",
+                     "[ Principal = \"system:anyuser\"; Rights = \"rwlid\"; ]")
+          .ok());
+  auto nfs = client::NfsClient::connect("127.0.0.1", (*server)->nfs_port());
+  ASSERT_TRUE(nfs.ok());
+  auto dir = nfs->mount("/nfs");
+  ASSERT_TRUE(dir.ok());
+
+  const std::int64_t before = core.cache_tracked_pages();
+  ASSERT_TRUE(chirp->put("/chirp.bin", std::string(40'000, 'c')).ok());
+  ASSERT_TRUE(chirp->get("/chirp.bin").ok());
+  EXPECT_GT(core.cache_tracked_pages(), before);
+  ASSERT_TRUE(chirp->unlink("/chirp.bin").ok());
+  EXPECT_EQ(core.cache_tracked_pages(), before);
+
+  ASSERT_TRUE(chirp->put("/nfs/n.bin", std::string(40'000, 'n')).ok());
+  ASSERT_TRUE(nfs->read_file(*dir, "n.bin").ok());
+  EXPECT_GT(core.cache_tracked_pages(), before);
+  ASSERT_TRUE(nfs->remove(*dir, "n.bin").ok());
+  EXPECT_EQ(core.cache_tracked_pages(), before);
+  (*server)->stop();
+}
+
+TEST(CacheModel, RemoveFreesEntryAndCapacity) {
+  CacheModel m(4 * 8192, 8192);  // 4 pages
+  m.observe_access("/a", 0, 3 * 8192);
+  m.observe_access("/b", 0, 8192);
+  m.observe_remove("/a");
+  EXPECT_EQ(m.tracked_pages(), 1);
+  EXPECT_EQ(m.tracked_files(), 1);
+  // The freed pages are reusable without evicting /b.
+  m.observe_access("/c", 0, 3 * 8192);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/b", 8192), 1.0);
+  EXPECT_DOUBLE_EQ(m.resident_fraction("/c", 3 * 8192), 1.0);
+  m.observe_remove("/missing");
+  EXPECT_EQ(m.tracked_pages(), 4);
+}
 
 // ---------- AdaptiveSelector ----------
 
